@@ -89,13 +89,9 @@ int main(int argc, char** argv) {
     std::vector<hedge::NodeId> located = evaluator->LocatedNodes(doc);
     std::printf("%-58s -> %5zu nodes\n", q.name.c_str(), located.size());
     for (size_t i = 0; i < located.size() && i < 2; ++i) {
-      std::string dewey;
-      for (uint32_t step : doc.DeweyOf(located[i])) {
-        dewey += "/" + std::to_string(step);
-      }
       std::printf("    e.g. %s at %s\n",
                   vocab.symbols.NameOf(doc.label(located[i]).id).c_str(),
-                  dewey.c_str());
+                  doc.DeweyString(located[i]).c_str());
     }
     if (q.name == "figures at any depth") figures = located.size();
     if (q.name == "figures immediately followed by a caption") {

@@ -76,10 +76,7 @@ int main() {
 
   std::printf("query: %s\n\n", kQuery.c_str());
   for (hedge::NodeId n : evaluator->LocatedNodes(doc->hedge)) {
-    std::string dewey;
-    for (uint32_t step : doc->hedge.DeweyOf(n)) {
-      dewey += "/" + std::to_string(step);
-    }
+    const std::string dewey = doc->hedge.DeweyString(n);
     xml::XmlDocument subtree;
     subtree.hedge.AppendCopy(hedge::kNullNode, doc->hedge, n);
     subtree.texts.resize(subtree.hedge.num_nodes());

@@ -50,9 +50,14 @@ int main(int argc, char** argv) {
                  validator.status().ToString().c_str());
     return 1;
   }
-  std::printf(
-      "validator ready: %u automaton states, %u horizontal states\n",
-      validator->dha().num_states(), validator->dha().num_h_states());
+  if (validator->dha().has_value()) {
+    std::printf(
+        "validator ready: %u automaton states, %u horizontal states\n",
+        validator->dha()->num_states(), validator->dha()->num_h_states());
+  } else {
+    std::printf("validator ready: lazy subset engine (determinization "
+                "exceeded the budget)\n");
+  }
 
   // A large valid document...
   Rng rng(99);

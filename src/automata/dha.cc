@@ -8,9 +8,6 @@
 namespace hedgeq::automata {
 
 using hedge::Hedge;
-using hedge::kNullNode;
-using hedge::LabelKind;
-using hedge::NodeId;
 
 Dha::Dha(HState num_states, HhState num_h, HhState h_start, HState sink)
     : num_states_(num_states),
@@ -42,103 +39,16 @@ HState Dha::SubstState(hedge::SubstId z) const {
   return it == subst_states_.end() ? sink_ : it->second;
 }
 
-namespace {
-
-// Dense per-run view of a sparse id->row map: one hash lookup per distinct
-// id instead of one per node.
-template <typename Value>
-class DenseRows {
- public:
-  template <typename Map>
-  explicit DenseRows(const Map& map) {
-    for (const auto& [id, row] : map) {
-      if (id >= rows_.size()) rows_.resize(id + 1, nullptr);
-      rows_[id] = &row;
-    }
-  }
-  const Value* Get(InternId id) const {
-    return id < rows_.size() ? rows_[id] : nullptr;
-  }
-
- private:
-  std::vector<const Value*> rows_;
-};
-
-}  // namespace
-
 std::vector<HState> Dha::Run(const Hedge& h) const {
-  std::vector<HState> states(h.num_nodes(), sink_);
-  DenseRows<std::vector<HState>> assign(assign_);
-  // Children have larger arena ids than parents; reverse sweep is bottom-up.
-  for (NodeId n = static_cast<NodeId>(h.num_nodes()); n-- > 0;) {
-    const hedge::Label label = h.label(n);
-    switch (label.kind) {
-      case LabelKind::kVariable:
-        states[n] = VariableState(label.id);
-        break;
-      case LabelKind::kSubst:
-        states[n] = SubstState(label.id);
-        break;
-      case LabelKind::kEta:
-        states[n] = sink_;
-        break;
-      case LabelKind::kSymbol: {
-        HhState hs = h_start_;
-        for (NodeId c = h.first_child(n); c != kNullNode;
-             c = h.next_sibling(c)) {
-          hs = HNext(hs, states[c]);
-        }
-        const std::vector<HState>* row = assign.Get(label.id);
-        states[n] = row == nullptr ? sink_ : (*row)[hs];
-        break;
-      }
-    }
-  }
-  return states;
+  return FoldHedge<false>(Stepper(*this), h).states;
 }
 
 bool Dha::Accepts(const Hedge& h) const {
-  std::vector<HState> states = Run(h);
-  strre::StateId f = final_.start();
-  for (NodeId r : h.roots()) {
-    f = final_.Next(f, states[r]);
-    if (f == strre::kNoState) return false;
-  }
-  return f != strre::kNoState && final_.IsAccepting(f);
+  return FoldAccepts(Stepper(*this), h);
 }
 
 Dha::MarkedRun Dha::RunWithMarks(const Hedge& h) const {
-  MarkedRun out;
-  out.states.assign(h.num_nodes(), sink_);
-  out.marks.assign(h.num_nodes(), false);
-  DenseRows<std::vector<HState>> assign(assign_);
-  for (NodeId n = static_cast<NodeId>(h.num_nodes()); n-- > 0;) {
-    const hedge::Label label = h.label(n);
-    switch (label.kind) {
-      case LabelKind::kVariable:
-        out.states[n] = VariableState(label.id);
-        break;
-      case LabelKind::kSubst:
-        out.states[n] = SubstState(label.id);
-        break;
-      case LabelKind::kEta:
-        break;
-      case LabelKind::kSymbol: {
-        HhState hs = h_start_;
-        strre::StateId f = final_.start();
-        for (NodeId c = h.first_child(n); c != kNullNode;
-             c = h.next_sibling(c)) {
-          hs = HNext(hs, out.states[c]);
-          f = final_.Next(f, out.states[c]);
-        }
-        const std::vector<HState>* row = assign.Get(label.id);
-        out.states[n] = row == nullptr ? sink_ : (*row)[hs];
-        out.marks[n] = f != strre::kNoState && final_.IsAccepting(f);
-        break;
-      }
-    }
-  }
-  return out;
+  return FoldHedge<true>(Stepper(*this), h);
 }
 
 Nha DhaToNha(const Dha& dha, std::span<const hedge::VarId> extra_vars,

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "automata/fold.h"
 #include "automata/nha.h"
 #include "hedge/hedge.h"
 #include "strre/automaton.h"
@@ -63,11 +64,13 @@ class Dha {
   /// Theorem 3 evaluation shortcut: along with the run, reports for every
   /// symbol-labeled node whether its child sequence (= its subhedge's ceil
   /// under M) lies in F — i.e. whether M-down-e would assign a marked state.
-  struct MarkedRun {
-    std::vector<HState> states;
-    std::vector<bool> marks;
-  };
+  using MarkedRun = MarkedRunOf<HState>;
   MarkedRun RunWithMarks(const hedge::Hedge& h) const;
+
+  /// Per-run view for the shared folds (automata/fold.h): the assignment
+  /// rows indexed densely by symbol id, so a run makes one hash lookup per
+  /// distinct symbol instead of one per node.
+  class Stepper;
 
   const std::unordered_map<hedge::VarId, HState>& var_map() const {
     return var_states_;
@@ -91,6 +94,38 @@ class Dha {
   std::unordered_map<hedge::VarId, HState> var_states_;
   std::unordered_map<hedge::SubstId, HState> subst_states_;
   strre::Dfa final_;
+};
+
+class Dha::Stepper {
+ public:
+  explicit Stepper(const Dha& dha) : dha_(dha) {
+    for (const auto& [symbol, row] : dha.assign_) {
+      if (symbol >= rows_.size()) rows_.resize(symbol + 1, nullptr);
+      rows_[symbol] = &row;
+    }
+  }
+
+  HState Sink() const { return dha_.sink_; }
+  HhState HStart() const { return dha_.h_start_; }
+  HhState HNext(HhState h, HState q) const { return dha_.HNext(h, q); }
+  HState Assign(hedge::SymbolId symbol, HhState h) const {
+    const std::vector<HState>* row =
+        symbol < rows_.size() ? rows_[symbol] : nullptr;
+    return row == nullptr ? dha_.sink_ : (*row)[h];
+  }
+  HState VariableState(hedge::VarId x) const { return dha_.VariableState(x); }
+  HState SubstState(hedge::SubstId z) const { return dha_.SubstState(z); }
+  strre::StateId FinalStart() const { return dha_.final_.start(); }
+  strre::StateId FinalNext(strre::StateId f, HState q) const {
+    return dha_.final_.Next(f, q);
+  }
+  bool FinalAccepting(strre::StateId f) const {
+    return f != strre::kNoState && dha_.final_.IsAccepting(f);
+  }
+
+ private:
+  const Dha& dha_;
+  std::vector<const std::vector<HState>*> rows_;  // by symbol; null = sink
 };
 
 /// Converts a DHA back to rule form (content models become DFAs read off the

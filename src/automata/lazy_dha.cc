@@ -8,9 +8,6 @@
 namespace hedgeq::automata {
 
 using hedge::Hedge;
-using hedge::kNullNode;
-using hedge::LabelKind;
-using hedge::NodeId;
 using strre::Nfa;
 
 LazyDha::LazyDha(Nha nha, LazyDhaOptions options)
@@ -130,19 +127,21 @@ Bitset LazyDha::SubstSubset(hedge::SubstId z) const {
   return it == subst_subsets_.end() ? Bitset(nha_.num_states()) : it->second;
 }
 
-LazyDha::FinalRun::FinalRun(const LazyDha& dha)
-    : dha_(dha), current_(dha.nha_.final_nfa().num_states()) {
+Bitset LazyDha::Stepper::FinalStart() const {
   const Nfa& final = dha_.nha_.final_nfa();
+  Bitset f(final.num_states());
   if (final.num_states() > 0 && final.start() != strre::kNoState) {
-    current_.Set(final.start());
-    final.EpsilonClosure(current_);
+    f.Set(final.start());
+    final.EpsilonClosure(f);
   }
+  return f;
 }
 
-void LazyDha::FinalRun::Consume(const Bitset& subset) {
+Bitset LazyDha::Stepper::FinalNext(const Bitset& f,
+                                   const Bitset& subset) const {
   const Nfa& final = dha_.nha_.final_nfa();
   Bitset next(final.num_states());
-  for (uint32_t p : current_.ToVector()) {
+  for (uint32_t p : f.ToVector()) {
     for (const Nfa::Transition& t : final.TransitionsFrom(p)) {
       if (t.symbol < subset.size() && subset.Test(t.symbol)) {
         next.Set(t.to);
@@ -150,84 +149,27 @@ void LazyDha::FinalRun::Consume(const Bitset& subset) {
     }
   }
   final.EpsilonClosure(next);
-  current_ = std::move(next);
+  return next;
 }
 
-bool LazyDha::FinalRun::Accepting() const {
+bool LazyDha::Stepper::FinalAccepting(const Bitset& f) const {
   const Nfa& final = dha_.nha_.final_nfa();
-  for (uint32_t p : current_.ToVector()) {
+  for (uint32_t p : f.ToVector()) {
     if (final.IsAccepting(p)) return true;
   }
   return false;
 }
 
 std::vector<Bitset> LazyDha::Run(const Hedge& h) const {
-  const size_t nq = nha_.num_states();
-  std::vector<Bitset> sets(h.num_nodes(), Bitset(nq));
-  // Children have larger arena ids than parents; reverse sweep is bottom-up.
-  for (NodeId n = static_cast<NodeId>(h.num_nodes()); n-- > 0;) {
-    const hedge::Label label = h.label(n);
-    switch (label.kind) {
-      case LabelKind::kVariable:
-        sets[n] = VariableSubset(label.id);
-        break;
-      case LabelKind::kSubst:
-        sets[n] = SubstSubset(label.id);
-        break;
-      case LabelKind::kEta:
-        break;  // eta never carries automaton states (empty = sink)
-      case LabelKind::kSymbol: {
-        Bitset hs = h_start_;
-        for (NodeId c = h.first_child(n); c != kNullNode;
-             c = h.next_sibling(c)) {
-          hs = HNext(hs, sets[c]);
-        }
-        sets[n] = Assign(label.id, hs);
-        break;
-      }
-    }
-  }
-  return sets;
+  return FoldHedge<false>(Stepper(*this), h).states;
 }
 
 LazyDha::MarkedRun LazyDha::RunWithMarks(const Hedge& h) const {
-  const size_t nq = nha_.num_states();
-  MarkedRun out;
-  out.states.assign(h.num_nodes(), Bitset(nq));
-  out.marks.assign(h.num_nodes(), false);
-  for (NodeId n = static_cast<NodeId>(h.num_nodes()); n-- > 0;) {
-    const hedge::Label label = h.label(n);
-    switch (label.kind) {
-      case LabelKind::kVariable:
-        out.states[n] = VariableSubset(label.id);
-        break;
-      case LabelKind::kSubst:
-        out.states[n] = SubstSubset(label.id);
-        break;
-      case LabelKind::kEta:
-        break;
-      case LabelKind::kSymbol: {
-        Bitset hs = h_start_;
-        FinalRun f(*this);
-        for (NodeId c = h.first_child(n); c != kNullNode;
-             c = h.next_sibling(c)) {
-          f.Consume(out.states[c]);
-          hs = HNext(hs, out.states[c]);
-        }
-        out.states[n] = Assign(label.id, hs);
-        out.marks[n] = f.Accepting();
-        break;
-      }
-    }
-  }
-  return out;
+  return FoldHedge<true>(Stepper(*this), h);
 }
 
 bool LazyDha::Accepts(const Hedge& h) const {
-  std::vector<Bitset> sets = Run(h);
-  FinalRun f(*this);
-  for (NodeId r : h.roots()) f.Consume(sets[r]);
-  return f.Accepting();
+  return FoldAccepts(Stepper(*this), h);
 }
 
 }  // namespace hedgeq::automata

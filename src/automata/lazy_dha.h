@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "automata/content_union.h"
+#include "automata/fold.h"
 #include "automata/nha.h"
 #include "hedge/hedge.h"
 #include "util/bitset.h"
@@ -39,6 +40,16 @@ struct EvalStats {
     d.cache_misses = after.cache_misses - before.cache_misses;
     d.peak_cache_bytes = after.peak_cache_bytes;
     return d;
+  }
+
+  /// Joint expenditure of two engines: counters and peaks add (their caches
+  /// are separate), and the fallback flag is set when either degraded.
+  static EvalStats Sum(const EvalStats& a, const EvalStats& b) {
+    return {a.fallback_used || b.fallback_used,
+            a.states_materialized + b.states_materialized,
+            a.cache_evictions + b.cache_evictions, a.cache_hits + b.cache_hits,
+            a.cache_misses + b.cache_misses,
+            a.peak_cache_bytes + b.peak_cache_bytes};
   }
 };
 
@@ -102,33 +113,22 @@ class LazyDha {
   Bitset VariableSubset(hedge::VarId x) const;
   Bitset SubstSubset(hedge::SubstId z) const;
 
-  /// Streaming set-simulation of the final language F over subset letters
-  /// (the lazy counterpart of the lifted final DFA).
-  class FinalRun {
-   public:
-    explicit FinalRun(const LazyDha& dha);
-    void Consume(const Bitset& subset);
-    bool Accepting() const;
-
-   private:
-    const LazyDha& dha_;
-    Bitset current_;  // epsilon-closed set of final-NFA states
-  };
-
   /// Definition 7 / Definition 4: the subset assigned to every node,
   /// indexed by NodeId. Equals Determinize(nha).subsets[Dha::Run(h)[n]].
   std::vector<Bitset> Run(const hedge::Hedge& h) const;
 
   /// Theorem 3 shortcut: along with the run, whether each symbol node's
   /// child sequence lies in F (the lazy RunWithMarks).
-  struct MarkedRun {
-    std::vector<Bitset> states;
-    std::vector<bool> marks;
-  };
+  using MarkedRun = MarkedRunOf<Bitset>;
   MarkedRun RunWithMarks(const hedge::Hedge& h) const;
 
   /// Definition 8 acceptance.
   bool Accepts(const hedge::Hedge& h) const;
+
+  /// Per-run view for the shared folds (automata/fold.h): forwards to the
+  /// memoized steps above and simulates the final language F over subset
+  /// letters (the lazy counterpart of the lifted final DFA).
+  class Stepper;
 
   /// Thin compatibility accessor: the same numbers are also mirrored into
   /// the process-wide obs::MetricsRegistry (automata.lazy.* metrics) while
@@ -183,6 +183,21 @@ class LazyDha {
     std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> index;
     size_t bytes = 0;
 
+    LruCache() = default;
+    // A copy rebuilds its index over its own list: copied iterators would
+    // still point into the source's entries.
+    LruCache(const LruCache& other)
+        : entries(other.entries), bytes(other.bytes) {
+      for (auto it = entries.begin(); it != entries.end(); ++it) {
+        index.emplace(it->key, it);
+      }
+    }
+    LruCache& operator=(const LruCache& other) {
+      return *this = LruCache(other);
+    }
+    LruCache(LruCache&&) = default;
+    LruCache& operator=(LruCache&&) = default;
+
     const Bitset* Find(const Key& key) {
       auto it = index.find(key);
       if (it == index.end()) return nullptr;
@@ -211,45 +226,27 @@ class LazyDha {
   mutable std::vector<LazyAuditEntry>* audit_ = nullptr;
 };
 
-/// Runs a LazyDha over a SAX-style event stream in O(element depth) set
-/// memory, mirroring StreamingDhaRun (automata/streaming.h): one horizontal
-/// set per open element, the final-language simulation at the top level.
-class LazyStreamingRun {
+class LazyDha::Stepper {
  public:
-  explicit LazyStreamingRun(const LazyDha& dha)
-      : dha_(dha), final_(dha) {}
+  explicit Stepper(const LazyDha& dha) : dha_(dha) {}
 
-  void StartElement(hedge::SymbolId name) {
-    (void)name;  // the symbol matters on exit, when alpha is applied
-    stack_.push_back(dha_.HStart());
-    max_depth_ = std::max(max_depth_, stack_.size());
+  Bitset Sink() const { return Bitset(dha_.nha_.num_states()); }
+  const Bitset& HStart() const { return dha_.h_start_; }
+  Bitset HNext(const Bitset& h, const Bitset& subset) const {
+    return dha_.HNext(h, subset);
   }
-
-  void EndElement(hedge::SymbolId name) {
-    Bitset h = std::move(stack_.back());
-    stack_.pop_back();
-    Fold(dha_.Assign(name, h));
+  Bitset Assign(hedge::SymbolId symbol, const Bitset& h) const {
+    return dha_.Assign(symbol, h);
   }
-
-  void Text(hedge::VarId variable) { Fold(dha_.VariableSubset(variable)); }
-
-  bool Accepted() const { return stack_.empty() && final_.Accepting(); }
-  bool InProgress() const { return !stack_.empty(); }
-  size_t max_depth() const { return max_depth_; }
+  Bitset VariableState(hedge::VarId x) const { return dha_.VariableSubset(x); }
+  Bitset SubstState(hedge::SubstId z) const { return dha_.SubstSubset(z); }
+  /// Final-language states are epsilon-closed sets of final-NFA states.
+  Bitset FinalStart() const;
+  Bitset FinalNext(const Bitset& f, const Bitset& subset) const;
+  bool FinalAccepting(const Bitset& f) const;
 
  private:
-  void Fold(const Bitset& subset) {
-    if (stack_.empty()) {
-      final_.Consume(subset);
-    } else {
-      stack_.back() = dha_.HNext(stack_.back(), subset);
-    }
-  }
-
   const LazyDha& dha_;
-  std::vector<Bitset> stack_;
-  LazyDha::FinalRun final_;
-  size_t max_depth_ = 0;
 };
 
 }  // namespace hedgeq::automata

@@ -2,42 +2,44 @@
 #define HEDGEQ_AUTOMATA_STREAMING_H_
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "automata/dha.h"
+#include "hedge/hedge.h"
 
 namespace hedgeq::automata {
 
-/// Runs a deterministic hedge automaton over a SAX-style event stream in
-/// O(element depth) memory: because the horizontal DFA folds child states
+/// Runs a hedge automaton (Dha or LazyDha) over a SAX-style event stream in
+/// O(element depth) memory: because the horizontal run folds child states
 /// left to right, one horizontal state per open element suffices — no tree
 /// is ever materialized. Feed events in document order, then query
-/// Accepted(). This is the streaming-validation face of Definition 4's
-/// bottom-up computation.
-class StreamingDhaRun {
+/// Accepted(). This is the streaming face of Definition 4's bottom-up
+/// computation, driving the same stepper as the tree fold (automata/fold.h).
+template <typename Automaton>
+class StreamingRun {
  public:
-  explicit StreamingDhaRun(const Dha& dha)
-      : dha_(dha), final_state_(dha.final_dfa().start()) {}
+  explicit StreamingRun(const Automaton& automaton)
+      : step_(automaton), final_(step_.FinalStart()) {}
 
   void StartElement(hedge::SymbolId name) {
     (void)name;  // the symbol matters on exit, when alpha is applied
-    stack_.push_back(dha_.h_start());
+    stack_.push_back(step_.HStart());
     max_depth_ = std::max(max_depth_, stack_.size());
   }
 
   void EndElement(hedge::SymbolId name) {
-    HhState h = stack_.back();
+    HState h = std::move(stack_.back());
     stack_.pop_back();
-    Fold(dha_.Assign(name, h));
+    Fold(step_.Assign(name, h));
   }
 
-  void Text(hedge::VarId variable) { Fold(dha_.VariableState(variable)); }
+  void Text(hedge::VarId variable) { Fold(step_.VariableState(variable)); }
 
   /// Is the stream consumed so far — taken as a complete hedge — in the
   /// language? Only meaningful when every element has been closed.
   bool Accepted() const {
-    return stack_.empty() && final_state_ != strre::kNoState &&
-           dha_.final_dfa().IsAccepting(final_state_);
+    return stack_.empty() && step_.FinalAccepting(final_);
   }
 
   bool InProgress() const { return !stack_.empty(); }
@@ -45,17 +47,21 @@ class StreamingDhaRun {
   size_t max_depth() const { return max_depth_; }
 
  private:
-  void Fold(HState q) {
+  using Stepper = typename Automaton::Stepper;
+  using HState = std::decay_t<decltype(std::declval<Stepper>().HStart())>;
+  using State = decltype(std::declval<Stepper>().Sink());
+
+  void Fold(const State& q) {
     if (stack_.empty()) {
-      final_state_ = dha_.final_dfa().Next(final_state_, q);
+      final_ = step_.FinalNext(final_, q);
     } else {
-      stack_.back() = dha_.HNext(stack_.back(), q);
+      stack_.back() = step_.HNext(stack_.back(), q);
     }
   }
 
-  const Dha& dha_;
-  std::vector<HhState> stack_;
-  strre::StateId final_state_;
+  Stepper step_;
+  std::vector<HState> stack_;
+  decltype(std::declval<Stepper>().FinalStart()) final_;
   size_t max_depth_ = 0;
 };
 

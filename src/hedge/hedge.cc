@@ -99,6 +99,15 @@ std::vector<uint32_t> Hedge::DeweyOf(NodeId n) const {
   return path;
 }
 
+std::string Hedge::DeweyString(NodeId n) const {
+  std::string out;
+  for (uint32_t step : DeweyOf(n)) {
+    out += '/';
+    out += std::to_string(step);
+  }
+  return out.empty() ? "/" : out;
+}
+
 NodeId Hedge::AtDewey(const std::vector<uint32_t>& address) const {
   NodeId cur = kNullNode;
   for (uint32_t index : address) {

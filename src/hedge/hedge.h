@@ -2,6 +2,7 @@
 #define HEDGEQ_HEDGE_HEDGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,9 @@ class Hedge {
 
   /// Dewey address of a node: the 0-based child-index path from the top.
   std::vector<uint32_t> DeweyOf(NodeId n) const;
+  /// DeweyOf rendered as text: "/0/2" for the third child of the first
+  /// top-level node ("/" for kNullNode).
+  std::string DeweyString(NodeId n) const;
   /// Inverse of DeweyOf; kNullNode when the address does not exist.
   NodeId AtDewey(const std::vector<uint32_t>& address) const;
 
@@ -131,6 +135,24 @@ class Hedge {
   std::vector<NodeId> prev_siblings_;
   std::vector<NodeId> roots_;
 };
+
+/// Calls `fn(std::span<const NodeId>)` once per non-empty sibling group, in
+/// order: the top-level sequence, then the children of every node in arena
+/// order. The groups share one buffer, so the walk allocates O(1) times
+/// rather than once per internal node; a span is valid only during its call.
+template <typename Fn>
+void ForEachSiblingGroup(const Hedge& h, Fn&& fn) {
+  if (!h.roots().empty()) fn(std::span<const NodeId>(h.roots()));
+  std::vector<NodeId> kids;
+  for (NodeId n = 0; n < h.num_nodes(); ++n) {
+    if (h.first_child(n) == kNullNode) continue;
+    kids.clear();
+    for (NodeId c = h.first_child(n); c != kNullNode; c = h.next_sibling(c)) {
+      kids.push_back(c);
+    }
+    fn(std::span<const NodeId>(kids));
+  }
+}
 
 /// Parses the term syntax of the paper:
 ///   hedge  := tree*

@@ -24,8 +24,7 @@ SiblingClasses ComputeSiblingClasses(const Hedge& doc,
   out.younger.assign(doc.num_nodes(), equiv.start());
   const size_t num_classes = equiv.num_states();
 
-  auto process_group = [&](const std::vector<NodeId>& kids) {
-    if (kids.empty()) return;
+  hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
     // Prefix classes: forward run of the (complete) == DFA.
     strre::StateId s = equiv.start();
     for (NodeId kid : kids) {
@@ -49,15 +48,7 @@ SiblingClasses ComputeSiblingClasses(const Hedge& doc,
       }
       g.swap(next_g);
     }
-  };
-
-  process_group(doc.roots());
-  for (NodeId n = 0; n < doc.num_nodes(); ++n) {
-    if (doc.label(n).kind == hedge::LabelKind::kSymbol &&
-        doc.first_child(n) != kNullNode) {
-      process_group(doc.ChildrenOf(n));
-    }
-  }
+  });
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "query/lazy_phr.h"
 
-#include <algorithm>
-
+#include "automata/engine.h"
 #include "automata/nha.h"
 #include "hre/compile.h"
 #include "obs/catalogue.h"
@@ -95,10 +94,7 @@ Result<LazyPhrEvaluator> LazyPhrEvaluator::Create(const phr::Phr& phr,
   }
   out.rev_regex_ = strre::ReverseNfa(strre::CompileRegex(phr.regex()));
 
-  automata::LazyDhaOptions opts;
-  opts.max_cache_bytes = std::min(budget.max_memory_bytes,
-                                  opts.max_cache_bytes);
-  out.lazy_.emplace(std::move(union_nha), opts);
+  out.lazy_.emplace(std::move(union_nha), automata::LazyOptionsFor(budget));
   return out;
 }
 
@@ -124,8 +120,7 @@ std::vector<bool> LazyPhrEvaluator::Locate(const Hedge& doc) const {
   // the younger side with the reversed NFA fed right-to-left.
   std::vector<Bitset> elder_ok(doc.num_nodes());
   std::vector<Bitset> younger_ok(doc.num_nodes());
-  auto process_group = [&](const std::vector<NodeId>& kids) {
-    if (kids.empty()) return;
+  hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
     for (NodeId kid : kids) {
       elder_ok[kid] = Bitset(n);
       younger_ok[kid] = Bitset(n);
@@ -150,14 +145,7 @@ std::vector<bool> LazyPhrEvaluator::Locate(const Hedge& doc) const {
         }
       }
     }
-  };
-  process_group(doc.roots());
-  for (NodeId m = 0; m < doc.num_nodes(); ++m) {
-    if (doc.label(m).kind == hedge::LabelKind::kSymbol &&
-        doc.first_child(m) != kNullNode) {
-      process_group(doc.ChildrenOf(m));
-    }
-  }
+  });
 
   // Pass 3 (top-down): set simulation of the reversed triplet regex. The
   // letter consumed at a node is the set of triplets admissible there —

@@ -1,9 +1,6 @@
 #include "query/selection.h"
 
-#include <algorithm>
-
 #include "lint/analyze.h"
-#include "obs/scope.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -56,25 +53,10 @@ Result<SelectionEvaluator> SelectionEvaluator::CreateImpl(
     BudgetScope scope(budget);
     Result<automata::Nha> nha = hre::CompileHre(query.subhedge, scope);
     if (!nha.ok()) return nha.status();
-    auto det = automata::Determinize(*nha, scope);
-    if (det.ok()) {
-      out.subhedge_dha_ = std::move(det->dha);
-    } else if (IsDegradable(det.status().code())) {
-      // Theorem 3 marks can also come from on-the-fly subset simulation.
-      // (This also rescues a missed deadline: the lazy engine needs no
-      // further preprocessing, so switching costs nothing.)
-      automata::LazyDhaOptions opts;
-      opts.max_cache_bytes =
-          std::min(budget.max_memory_bytes, opts.max_cache_bytes);
-      out.subhedge_lazy_.emplace(std::move(*nha), opts);
-      // Budget outcome for the flight record (same contract as the
-      // envelope-side fallback in evaluator.cc).
-      if (auto* qscope = obs::QueryScope::Current(); qscope != nullptr) {
-        qscope->Annotate("outcome", "degraded_lazy");
-      }
-    } else {
-      return det.status();
-    }
+    Result<automata::HedgeEngine> engine =
+        automata::HedgeEngine::Create(*nha, scope);
+    if (!engine.ok()) return engine.status();
+    out.subhedge_ = std::move(engine).value();
   }
   Result<PhrEvaluator> phr_eval =
       PhrEvaluator::Create(query.envelope, budget, envelope_cache_scope);
@@ -110,32 +92,27 @@ std::vector<bool> SelectionEvaluator::Locate(const Hedge& doc) const {
   std::vector<bool> located = phr_->Locate(doc);
   // Theorem 3: a node's subhedge lies in L(e1) iff M-down-e1 assigns a
   // marked state, i.e. its child sequence lands in the final language.
-  if (subhedge_dha_.has_value()) {
-    automata::Dha::MarkedRun marked = subhedge_dha_->RunWithMarks(doc);
+  if (subhedge_.has_value()) {
+    const std::vector<bool> marks =
+        subhedge_->Visit([&](const auto& automaton) {
+          return automaton.RunWithMarks(doc).marks;
+        });
     for (size_t n = 0; n < located.size(); ++n) {
-      located[n] = located[n] && marked.marks[n];
-    }
-  } else if (subhedge_lazy_.has_value()) {
-    automata::LazyDha::MarkedRun marked = subhedge_lazy_->RunWithMarks(doc);
-    for (size_t n = 0; n < located.size(); ++n) {
-      located[n] = located[n] && marked.marks[n];
+      located[n] = located[n] && marks[n];
     }
   }
   return located;
 }
 
+const std::optional<automata::Dha>& SelectionEvaluator::subhedge_dha() const {
+  static const std::optional<automata::Dha> kNone;
+  return subhedge_.has_value() ? subhedge_->dha() : kNone;
+}
+
 automata::EvalStats SelectionEvaluator::stats() const {
-  automata::EvalStats s = phr_->stats();
-  if (subhedge_lazy_.has_value()) {
-    const automata::EvalStats& t = subhedge_lazy_->stats();
-    s.fallback_used = true;
-    s.states_materialized += t.states_materialized;
-    s.cache_evictions += t.cache_evictions;
-    s.cache_hits += t.cache_hits;
-    s.cache_misses += t.cache_misses;
-    s.peak_cache_bytes += t.peak_cache_bytes;
-  }
-  return s;
+  return automata::EvalStats::Sum(
+      phr_->stats(),
+      subhedge_.has_value() ? subhedge_->stats() : automata::EvalStats{});
 }
 
 std::vector<NodeId> SelectionEvaluator::LocatedNodes(const Hedge& doc) const {

@@ -5,8 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "automata/determinize.h"
-#include "automata/lazy_dha.h"
+#include "automata/engine.h"
 #include "hre/ast.h"
 #include "hre/compile.h"
 #include "phr/phr.h"
@@ -62,13 +61,12 @@ class SelectionEvaluator {
   const PhrEvaluator& phr_evaluator() const { return *phr_; }
   /// The determinized subhedge automaton, when e1 was given and its
   /// determinization fit the budget.
-  const std::optional<automata::Dha>& subhedge_dha() const {
-    return subhedge_dha_;
-  }
+  const std::optional<automata::Dha>& subhedge_dha() const;
 
   /// True when any stage degraded to its lazy engine.
   bool fallback_used() const {
-    return subhedge_lazy_.has_value() || phr_->fallback_used();
+    return (subhedge_.has_value() && subhedge_->fallback_used()) ||
+           phr_->fallback_used();
   }
   /// Merged expenditure of every lazy engine in use.
   automata::EvalStats stats() const;
@@ -83,8 +81,7 @@ class SelectionEvaluator {
       const SelectionQuery& query, const ExecBudget& budget,
       std::string_view envelope_cache_scope);
 
-  std::optional<automata::Dha> subhedge_dha_;
-  std::optional<automata::LazyDha> subhedge_lazy_;
+  std::optional<automata::HedgeEngine> subhedge_;  // set when e1 was given
   std::optional<PhrEvaluator> phr_;
 };
 

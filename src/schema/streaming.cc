@@ -1,7 +1,6 @@
 #include "schema/streaming.h"
 
-#include <algorithm>
-
+#include "automata/streaming.h"
 #include "obs/catalogue.h"
 #include "obs/obs.h"
 #include "util/failpoint.h"
@@ -10,46 +9,11 @@ namespace hedgeq::schema {
 
 namespace {
 
-// Adapts SAX events onto the streaming automaton run.
+// Adapts SAX events onto the streaming run of either engine.
+template <typename Automaton>
 class ValidatorHandler : public xml::XmlHandler {
  public:
-  explicit ValidatorHandler(const automata::Dha& dha) : run_(dha) {}
-
-  Status StartElement(hedge::SymbolId name) override {
-    ++events_;
-    ++depth_;
-    max_depth_ = std::max(max_depth_, depth_);
-    run_.StartElement(name);
-    return Status::Ok();
-  }
-  Status EndElement(hedge::SymbolId name) override {
-    ++events_;
-    --depth_;
-    run_.EndElement(name);
-    return Status::Ok();
-  }
-  Status Text(hedge::VarId variable, std::string_view) override {
-    ++events_;
-    run_.Text(variable);
-    return Status::Ok();
-  }
-
-  bool Accepted() const { return run_.Accepted(); }
-  size_t events() const { return events_; }
-  size_t max_depth() const { return max_depth_; }
-
- private:
-  automata::StreamingDhaRun run_;
-  size_t events_ = 0;
-  size_t depth_ = 0;
-  size_t max_depth_ = 0;
-};
-
-// Same adapter over the lazy engine: one Bitset per open element instead of
-// one table-indexed state.
-class LazyValidatorHandler : public xml::XmlHandler {
- public:
-  explicit LazyValidatorHandler(const automata::LazyDha& dha) : run_(dha) {}
+  explicit ValidatorHandler(const Automaton& automaton) : run_(automaton) {}
 
   Status StartElement(hedge::SymbolId name) override {
     ++events_;
@@ -72,7 +36,7 @@ class LazyValidatorHandler : public xml::XmlHandler {
   size_t max_depth() const { return run_.max_depth(); }
 
  private:
-  automata::LazyStreamingRun run_;
+  automata::StreamingRun<Automaton> run_;
   size_t events_ = 0;
 };
 
@@ -81,22 +45,11 @@ class LazyValidatorHandler : public xml::XmlHandler {
 Result<StreamingValidator> StreamingValidator::Create(
     const Schema& schema, const ExecBudget& budget) {
   HEDGEQ_FAILPOINT("streaming/create");
-  StreamingValidator out;
-  auto det = automata::Determinize(schema.nha(), budget);
-  if (det.ok()) {
-    out.dha_ = std::make_shared<automata::Dha>(std::move(det->dha));
-    return out;
-  }
-  if (!IsDegradable(det.status().code())) {
-    return det.status();
-  }
-  // Budget or deadline cut determinization short; the lazy engine needs no
-  // preprocessing, so validation can still start immediately.
-  automata::LazyDhaOptions opts;
-  opts.max_cache_bytes = std::min(budget.max_memory_bytes,
-                                  opts.max_cache_bytes);
-  out.lazy_ = std::make_shared<automata::LazyDha>(schema.nha(), opts);
-  return out;
+  BudgetScope scope(budget);
+  Result<automata::HedgeEngine> engine =
+      automata::HedgeEngine::Create(schema.nha(), scope);
+  if (!engine.ok()) return engine.status();
+  return StreamingValidator(std::move(engine).value());
 }
 
 Result<bool> StreamingValidator::Validate(
@@ -111,40 +64,31 @@ Result<StreamingValidator::Validation> StreamingValidator::ValidateWithStats(
     std::string_view xml_text, hedge::Vocabulary& vocab,
     const xml::XmlParseOptions& options) const {
   HEDGEQ_OBS_SPAN(span, obs::spans::kSchemaValidate);
+  // A lazy engine is shared and const here, so per-run expenditure is a
+  // stats delta rather than a reset of the shared counters (which would
+  // race with concurrent validations).
+  const automata::EvalStats before = engine_.stats();
   Validation out;
-  if (lazy_ != nullptr) {
-    // The lazy engine is shared and const here, so per-run expenditure is
-    // computed as a stats delta rather than resetting the shared counters
-    // (which would race with concurrent validations).
-    const automata::EvalStats before = lazy_->stats();
-    LazyValidatorHandler handler(*lazy_);
-    Status parse = xml::ParseXmlStream(xml_text, vocab, handler, options);
-    if (!parse.ok()) return parse;
+  size_t events = 0;
+  size_t max_depth = 0;
+  Status parse = engine_.Visit([&](const auto& automaton) {
+    ValidatorHandler handler(automaton);
+    Status status = xml::ParseXmlStream(xml_text, vocab, handler, options);
     out.valid = handler.Accepted();
-    out.stats = automata::EvalStats::Delta(before, lazy_->stats());
-    out.stats.fallback_used = true;
-    if (obs::Enabled()) {
-      HEDGEQ_OBS_COUNT(obs::metrics::kSchemaValidateEvents, handler.events());
-      HEDGEQ_OBS_COUNT(obs::metrics::kSchemaValidateFallbackRuns, 1);
-      HEDGEQ_OBS_GAUGE_MAX(obs::metrics::kSchemaValidateMaxDepth,
-                           handler.max_depth());
-      span.AddArg("events", handler.events());
-      span.AddArg("valid", out.valid ? 1 : 0);
-      span.AddArg("lazy", 1);
-    }
-    return out;
-  }
-  ValidatorHandler handler(*dha_);
-  Status parse = xml::ParseXmlStream(xml_text, vocab, handler, options);
+    events = handler.events();
+    max_depth = handler.max_depth();
+    return status;
+  });
   if (!parse.ok()) return parse;
-  out.valid = handler.Accepted();
+  out.stats = automata::EvalStats::Delta(before, engine_.stats());
   if (obs::Enabled()) {
-    HEDGEQ_OBS_COUNT(obs::metrics::kSchemaValidateEvents, handler.events());
-    HEDGEQ_OBS_GAUGE_MAX(obs::metrics::kSchemaValidateMaxDepth,
-                         handler.max_depth());
-    span.AddArg("events", handler.events());
+    const bool lazy = engine_.fallback_used();
+    HEDGEQ_OBS_COUNT(obs::metrics::kSchemaValidateEvents, events);
+    if (lazy) HEDGEQ_OBS_COUNT(obs::metrics::kSchemaValidateFallbackRuns, 1);
+    HEDGEQ_OBS_GAUGE_MAX(obs::metrics::kSchemaValidateMaxDepth, max_depth);
+    span.AddArg("events", events);
     span.AddArg("valid", out.valid ? 1 : 0);
-    span.AddArg("lazy", 0);
+    span.AddArg("lazy", lazy ? 1 : 0);
   }
   return out;
 }

@@ -1,12 +1,10 @@
 #ifndef HEDGEQ_SCHEMA_STREAMING_H_
 #define HEDGEQ_SCHEMA_STREAMING_H_
 
-#include <memory>
+#include <optional>
 #include <string_view>
 
-#include "automata/determinize.h"
-#include "automata/lazy_dha.h"
-#include "automata/streaming.h"
+#include "automata/engine.h"
 #include "schema/schema.h"
 #include "util/budget.h"
 #include "xml/xml.h"
@@ -47,17 +45,16 @@ class StreamingValidator {
 
   /// True when the eager determinization blew the budget and the lazy
   /// engine validates instead.
-  bool fallback_used() const { return lazy_ != nullptr; }
+  bool fallback_used() const { return engine_.fallback_used(); }
 
-  /// The eager automaton; only callable when !fallback_used().
-  const automata::Dha& dha() const { return *dha_; }
+  /// The eager automaton; empty when the lazy engine validates instead.
+  const std::optional<automata::Dha>& dha() const { return engine_.dha(); }
 
  private:
-  StreamingValidator() = default;
+  explicit StreamingValidator(automata::HedgeEngine engine)
+      : engine_(std::move(engine)) {}
 
-  // Exactly one of the two engines is set.
-  std::shared_ptr<const automata::Dha> dha_;
-  std::shared_ptr<const automata::LazyDha> lazy_;
+  automata::HedgeEngine engine_;
 };
 
 }  // namespace hedgeq::schema

@@ -24,12 +24,6 @@ uint64_t MicrosBetween(Clock::time_point from, Clock::time_point to) {
           .count());
 }
 
-std::string DeweyString(const hedge::Hedge& h, hedge::NodeId n) {
-  std::string out;
-  for (uint32_t step : h.DeweyOf(n)) out += "/" + std::to_string(step);
-  return out.empty() ? "/" : out;
-}
-
 /// Serializes a thread-compatible DeterminizeCache behind an external
 /// mutex. The engine shares the mutex with its vocabulary lock because the
 /// wrapped cache renders entry keys through the vocabulary, and interning
@@ -363,7 +357,7 @@ Status Engine::ExecuteOnce(const Item& item, Response* resp) {
     resp->answer.reserve(nodes.size());
     for (hedge::NodeId n : nodes) {
       resp->answer.push_back(
-          StrCat(DeweyString(doc->hedge, n), "\t",
+          StrCat(doc->hedge.DeweyString(n), "\t",
                  vocab_.symbols.NameOf(doc->hedge.label(n).id)));
     }
   }

@@ -182,13 +182,13 @@ Result<OracleReport> RunDifferentialOracle(const hre::Hre& e,
     }
     if (!has_subst) {
       if (count) ++report.streaming_checked;
-      automata::LazyStreamingRun lazy_stream(lazy);
-      std::optional<automata::StreamingDhaRun> eager_stream;
+      automata::StreamingRun<automata::LazyDha> lazy_stream(lazy);
+      std::optional<automata::StreamingRun<automata::Dha>> eager_stream;
       if (dha.has_value()) eager_stream.emplace(*dha);
       struct Emit {
         const Hedge& h;
-        automata::LazyStreamingRun& ls;
-        std::optional<automata::StreamingDhaRun>& es;
+        automata::StreamingRun<automata::LazyDha>& ls;
+        std::optional<automata::StreamingRun<automata::Dha>>& es;
         void Node(NodeId n) {
           Label label = h.label(n);
           if (label.kind == LabelKind::kSymbol) {
@@ -214,18 +214,14 @@ Result<OracleReport> RunDifferentialOracle(const hre::Hre& e,
       // and XML coalesces adjacent text, so two variable leaves that are
       // consecutive siblings parse back as a single leaf. Skip both.
       bool adjacent_text = false;
-      auto scan_siblings = [&](auto&& siblings) {
+      hedge::ForEachSiblingGroup(h, [&](std::span<const NodeId> siblings) {
         bool prev_var = false;
         for (NodeId n : siblings) {
           bool is_var = h.label(n).kind == LabelKind::kVariable;
           if (is_var && prev_var) adjacent_text = true;
           prev_var = is_var;
         }
-      };
-      scan_siblings(h.roots());
-      for (NodeId n = 0; n < h.num_nodes(); ++n) {
-        scan_siblings(h.ChildrenOf(n));
-      }
+      });
       if (h.roots().size() == 1 && vars_used.size() <= 1 && !adjacent_text) {
         xml::XmlDocument doc = xml::WrapHedge(h, vocab);
         xml::XmlParseOptions parse_options;

@@ -60,8 +60,8 @@ struct OracleReport {
 
 /// Differential testing of the whole pipeline on one expression: every
 /// engine that can decide membership — the naive reference matcher, direct
-/// NHA simulation, the eager DHA, StreamingDhaRun, LazyDha, LazyStreamingRun
-/// and (where the hedge is XML-representable) StreamingValidator — runs over
+/// NHA simulation, the eager DHA, LazyDha, the streaming run of each, and
+/// (where the hedge is XML-representable) StreamingValidator — runs over
 /// a bounded-exhaustive plus random-sampled hedge corpus; any disagreement
 /// is an HQV009 finding naming the hedge and each engine's verdict.
 /// Fails only on setup errors (e.g. the expression does not compile).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "automata/analysis.h"
 #include "automata/determinize.h"
 #include "hre/compile.h"
@@ -282,6 +284,11 @@ struct AmbiguityCase {
   const char* expr;
   bool ambiguous;
 };
+
+// Names each case by its expression, so test ids are stable across runs.
+void PrintTo(const AmbiguityCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.expr);
+}
 
 class AmbiguityTest : public ::testing::TestWithParam<AmbiguityCase> {};
 

@@ -17,6 +17,7 @@
 #include "obs/obs.h"
 #include "obs/prom.h"
 #include "obs/scope.h"
+#include "util/strings.h"
 
 namespace hedgeq::obs {
 namespace {
@@ -176,7 +177,7 @@ TEST(FlightRecorderTest, RingWrapKeepsTheNewestRecords) {
   const size_t capacity = FlightRecorderCapacity();
   const size_t total = capacity + 17;
   for (size_t i = 0; i < total; ++i) {
-    QueryScope scope("q" + std::to_string(i));
+    QueryScope scope(StrCat("q", i));
   }
   std::vector<FlightRecordView> records = FlightRecords();
   ASSERT_EQ(records.size(), capacity);
@@ -232,7 +233,7 @@ TEST(FlightRecorderTest, ConcurrentScopesAllLand) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
-        QueryScope scope("t" + std::to_string(t) + ":" + std::to_string(i));
+        QueryScope scope(StrCat("t", t, ":", i));
         Registry().GetCounter("test.conc")->Increment();
       }
     });

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,11 @@ struct MatchCase {
   std::vector<const char*> accepted;
   std::vector<const char*> rejected;
 };
+
+// Names each case by its expression, so test ids are stable across runs.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.expr);
+}
 
 class HreMatchTest : public ::testing::TestWithParam<MatchCase> {};
 

@@ -1,14 +1,17 @@
 // Equivalence of the on-the-fly subset engine (automata/lazy_dha.h) with
-// eager Theorem 1 determinization: same subsets per node, same acceptance,
-// same Theorem 3 marks — including under a cache so small that the LRU
-// evicts constantly.
+// eager Theorem 1 determinization through the shared folds (automata/fold.h,
+// automata/streaming.h): same subsets and Theorem 3 marks at every node of
+// every label kind, same acceptance in batch and streaming runs — including
+// under a cache so small that the LRU evicts constantly.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "automata/determinize.h"
 #include "automata/lazy_dha.h"
+#include "automata/streaming.h"
 #include "hre/compile.h"
 #include "strre/ops.h"
 #include "util/rng.h"
@@ -51,8 +54,8 @@ class LazyDhaTest : public ::testing::Test {
     return m;
   }
 
-  // A deliberately nondeterministic automaton: accepts hedges over {a,b,x}
-  // containing an "a" node whose children are all x leaves.
+  // A deliberately nondeterministic automaton: accepts hedges over {a,b,x,z}
+  // containing an "a" node whose children are all x or z leaves.
   Nha BuildGuesser() {
     Nha m;
     HState any = m.AddState();
@@ -61,6 +64,7 @@ class LazyDhaTest : public ::testing::Test {
     hedge::SymbolId a = vocab_.symbols.Intern("a");
     hedge::SymbolId b = vocab_.symbols.Intern("b");
     m.AddVariableState(vocab_.variables.Intern("x"), leaf);
+    m.AddSubstState(vocab_.substs.Intern("z"), leaf);
     strre::Regex anyseq = Star(strre::Alt(Sym(any), Sym(leaf)));
     for (hedge::SymbolId s : {a, b}) {
       m.AddRule(s, CompileRegex(anyseq), any);
@@ -74,36 +78,45 @@ class LazyDhaTest : public ::testing::Test {
     return m;
   }
 
-  Hedge RandomDoc(Rng& rng, int size) {
+  // Random hedge over a, b and $x leaves; unless `sax_only`, also %z
+  // substitution leaves and eta leaves, which SAX events cannot express.
+  Hedge RandomDoc(Rng& rng, int size, bool sax_only = false) {
     Hedge h;
     std::vector<NodeId> open = {hedge::kNullNode};
     hedge::SymbolId a = vocab_.symbols.Intern("a");
     hedge::SymbolId b = vocab_.symbols.Intern("b");
     hedge::VarId x = vocab_.variables.Intern("x");
+    hedge::SubstId z = vocab_.substs.Intern("z");
     for (int i = 0; i < size; ++i) {
       NodeId parent = open[rng.Below(open.size())];
-      switch (rng.Below(3)) {
+      switch (rng.Below(sax_only ? 3 : 5)) {
         case 0:
           open.push_back(h.Append(parent, hedge::Label::Symbol(a)));
           break;
         case 1:
           open.push_back(h.Append(parent, hedge::Label::Symbol(b)));
           break;
-        default:
+        case 2:
           h.Append(parent, hedge::Label::Variable(x));
+          break;
+        case 3:
+          h.Append(parent, hedge::Label::Subst(z));
+          break;
+        default:
+          h.Append(parent, hedge::Label::Eta());
           break;
       }
     }
     return h;
   }
 
-  // Asserts lazy and eager agree on `h`: per-node subsets, acceptance.
+  // Asserts lazy and eager agree on `h`: subsets at every node (eta leaves
+  // included), acceptance.
   void ExpectAgreement(const Nha& nha, const Determinized& det,
                        const LazyDha& lazy, const Hedge& h) {
     std::vector<HState> eager_run = det.dha.Run(h);
     std::vector<Bitset> lazy_run = lazy.Run(h);
     for (NodeId n = 0; n < h.num_nodes(); ++n) {
-      if (h.label(n).kind == hedge::LabelKind::kEta) continue;
       EXPECT_EQ(lazy_run[n], det.subsets[eager_run[n]])
           << "node " << n << " in " << h.ToString(vocab_);
     }
@@ -152,7 +165,6 @@ TEST_F(LazyDhaTest, MarkedRunMatchesEager) {
     Dha::MarkedRun eager = det->dha.RunWithMarks(h);
     LazyDha::MarkedRun got = lazy.RunWithMarks(h);
     for (NodeId n = 0; n < h.num_nodes(); ++n) {
-      if (h.label(n).kind != hedge::LabelKind::kSymbol) continue;
       EXPECT_EQ(got.marks[n], eager.marks[n])
           << "node " << n << " in " << h.ToString(vocab_);
       EXPECT_EQ(got.states[n], det->subsets[eager.states[n]]);
@@ -162,27 +174,37 @@ TEST_F(LazyDhaTest, MarkedRunMatchesEager) {
 
 TEST_F(LazyDhaTest, StreamingRunMatchesBatchAcceptance) {
   Nha guesser = BuildGuesser();
+  auto det = Determinize(guesser);
+  ASSERT_TRUE(det.ok());
   LazyDha lazy(guesser);
   Rng rng(777);
   for (int trial = 0; trial < 60; ++trial) {
-    Hedge h = RandomDoc(rng, 1 + static_cast<int>(rng.Below(30)));
-    LazyStreamingRun run(lazy);
+    Hedge h = RandomDoc(rng, 1 + static_cast<int>(rng.Below(30)),
+                        /*sax_only=*/true);
+    StreamingRun<LazyDha> run(lazy);
+    StreamingRun<Dha> eager(det->dha);
     // Emit the document as SAX events, children between start and end.
     auto emit = [&](auto&& self, NodeId n) -> void {
       for (; n != hedge::kNullNode; n = h.next_sibling(n)) {
         const hedge::Label label = h.label(n);
         if (label.kind == hedge::LabelKind::kVariable) {
           run.Text(label.id);
+          eager.Text(label.id);
         } else if (label.kind == hedge::LabelKind::kSymbol) {
           run.StartElement(label.id);
+          eager.StartElement(label.id);
           self(self, h.first_child(n));
           run.EndElement(label.id);
+          eager.EndElement(label.id);
         }
       }
     };
     emit(emit, h.roots().empty() ? hedge::kNullNode : h.roots().front());
     EXPECT_FALSE(run.InProgress());
+    EXPECT_FALSE(eager.InProgress());
     EXPECT_EQ(run.Accepted(), lazy.Accepts(h)) << h.ToString(vocab_);
+    EXPECT_EQ(run.Accepted(), guesser.Accepts(h)) << h.ToString(vocab_);
+    EXPECT_EQ(eager.Accepted(), guesser.Accepts(h)) << h.ToString(vocab_);
   }
 }
 
@@ -204,6 +226,30 @@ TEST_F(LazyDhaTest, TinyCacheEvictsButStaysCorrect) {
   // The high-water mark can overshoot the cap by at most the one entry
   // that triggered eviction.
   EXPECT_LE(stats.peak_cache_bytes, options.max_cache_bytes + 1024);
+}
+
+TEST_F(LazyDhaTest, CopyOwnsItsCache) {
+  // Engines are values (automata::HedgeEngine), so a LazyDha may be copied
+  // after its caches filled: the copy must index its own entries, not the
+  // original's, which here is destroyed before the copy runs.
+  Nha guesser = BuildGuesser();
+  auto det = Determinize(guesser);
+  ASSERT_TRUE(det.ok());
+  LazyDhaOptions options;
+  options.max_cache_bytes = 4096;
+  std::optional<LazyDha> original(std::in_place, guesser, options);
+  Rng rng(5150);
+  for (int trial = 0; trial < 10; ++trial) {
+    (void)original->Accepts(RandomDoc(rng, 25));
+  }
+  LazyDha copy = *original;
+  original.reset();
+  for (int trial = 0; trial < 40; ++trial) {
+    Hedge h = RandomDoc(rng, 1 + static_cast<int>(rng.Below(35)));
+    EXPECT_EQ(copy.Accepts(h), det->dha.Accepts(h)) << h.ToString(vocab_);
+  }
+  EXPECT_GT(copy.stats().cache_hits, 0u);
+  EXPECT_GT(copy.stats().cache_evictions, 0u);
 }
 
 TEST_F(LazyDhaTest, HreCompiledAutomataAgree) {

@@ -16,6 +16,7 @@
 
 #include "automata/lazy_dha.h"
 #include "obs/catalogue.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/scope.h"
@@ -398,6 +399,29 @@ TEST(ObsPipelineTest, StreamingValidationReportsDeltaStats) {
   EXPECT_EQ(
       Registry().GetCounter(metrics::kSchemaValidateFallbackRuns)->value(),
       2u);
+}
+
+TEST(ObsPipelineTest, StreamingValidatorLazyFallbackAnnotatesTheQuery) {
+  ObsGuard guard;
+  ResetFlightRecorder();
+  SetFlightRecorderEnabled(true);
+  hedge::Vocabulary vocab;
+  auto schema = schema::ParseSchema(
+      "start = Doc\nDoc = doc<Sec*>\nSec = sec<>\n", vocab);
+  ASSERT_TRUE(schema.ok());
+  {
+    QueryScope scope("validator");
+    ExecBudget tiny;
+    tiny.max_states = 1;  // force the lazy fallback
+    auto validator = schema::StreamingValidator::Create(*schema, tiny);
+    ASSERT_TRUE(validator.ok());
+    ASSERT_TRUE(validator->fallback_used());
+  }
+  std::vector<FlightRecordView> records = FlightRecords();
+  SetFlightRecorderEnabled(false);
+  ResetFlightRecorder();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, "degraded_lazy");
 }
 
 TEST(ObsStatsTest, EvalStatsDeltaSubtractsCountersKeepsPeak) {

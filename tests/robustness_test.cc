@@ -16,6 +16,7 @@
 #include "schema/streaming.h"
 #include "strre/regex.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "workload/generators.h"
 #include "xml/xml.h"
 
@@ -174,7 +175,7 @@ std::string KthFromEndElder(int k) {
 
 TEST(AdversarialBudgetTest, PhrEvaluatorLazyFallbackMatchesEager) {
   Vocabulary vocab;
-  std::string query = "[" + KthFromEndElder(6) + "; a1; *] (a0|a1)*";
+  std::string query = StrCat("[", KthFromEndElder(6), "; a1; *] (a0|a1)*");
   auto phr = phr::ParsePhr(query, vocab);
   ASSERT_TRUE(phr.ok()) << phr.status().ToString();
 

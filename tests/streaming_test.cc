@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "automata/determinize.h"
 #include "automata/streaming.h"
 #include "hre/compile.h"
 #include "schema/streaming.h"
@@ -29,7 +30,7 @@ Table   = table<>
 // Feeds a hedge's structure as events (the DOM-free path the tests compare
 // against the batch run).
 void FeedHedge(const Hedge& h, hedge::NodeId n,
-               automata::StreamingDhaRun& run) {
+               automata::StreamingRun<automata::Dha>& run) {
   const hedge::Label label = h.label(n);
   if (label.kind == hedge::LabelKind::kVariable) {
     run.Text(label.id);
@@ -57,7 +58,7 @@ TEST(StreamingDhaTest, AgreesWithBatchRunOnRandomDocuments) {
     options.target_nodes = 1 + rng.Below(30);
     options.num_symbols = 2;
     Hedge doc = workload::RandomHedge(rng, vocab, options);
-    automata::StreamingDhaRun run(det->dha);
+    automata::StreamingRun<automata::Dha> run(det->dha);
     for (hedge::NodeId r : doc.roots()) FeedHedge(doc, r, run);
     bool streaming = run.Accepted();
     bool batch = det->dha.Accepts(doc);
@@ -75,7 +76,7 @@ TEST(StreamingDhaTest, MaxDepthTracksOpenElements) {
   ASSERT_TRUE(det.ok());
 
   Hedge deep = workload::UniformTree(vocab, 6, 1);  // a chain of depth 7
-  automata::StreamingDhaRun run(det->dha);
+  automata::StreamingRun<automata::Dha> run(det->dha);
   for (hedge::NodeId r : deep.roots()) FeedHedge(deep, r, run);
   EXPECT_TRUE(run.Accepted());
   EXPECT_EQ(run.max_depth(), 7u);

@@ -307,7 +307,7 @@ int CmdFromNha(const std::string& text, bool json, bool emit_only) {
     std::printf("%s", verify::SerializeCertificate(*cert, vocab).c_str());
     return 0;
   }
-  std::fprintf(stderr, "from-nha: %u states, %zu splits, %zu entries\n",
+  std::fprintf(stderr, "from-nha: %zu states, %zu splits, %zu entries\n",
                nha->num_states(), cert->fn.splits.size(),
                cert->fn.entries.size());
   return Emit(verify::CheckCertificate(*cert), json);
@@ -343,7 +343,7 @@ int CmdAlgebra(const std::string& op_word, const std::string& a_path,
     std::printf("%s", verify::SerializeCertificate(*cert, vocab).c_str());
     return 0;
   }
-  std::fprintf(stderr, "algebra: %s, %u x %u -> %u states\n",
+  std::fprintf(stderr, "algebra: %s, %zu x %zu -> %zu states\n",
                op_word.c_str(), a->nha().num_states(), b->nha().num_states(),
                cert->alg_out.num_states());
   return Emit(verify::CheckCertificate(*cert), json);

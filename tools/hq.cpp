@@ -115,12 +115,6 @@ Result<xml::XmlDocument> LoadXml(const std::string& path,
   return xml::ParseXml(*text, vocab);
 }
 
-std::string DeweyString(const hedge::Hedge& h, hedge::NodeId n) {
-  std::string out;
-  for (uint32_t step : h.DeweyOf(n)) out += "/" + std::to_string(step);
-  return out.empty() ? "/" : out;
-}
-
 int CmdQuery(const std::string& query_text, const std::string& file) {
   hedge::Vocabulary vocab;
   BindCache(vocab);
@@ -131,7 +125,7 @@ int CmdQuery(const std::string& query_text, const std::string& file) {
   auto eval = query::SelectionEvaluator::Create(*query, FlagBudget());
   if (!eval.ok()) return FailStatus(eval.status());
   for (hedge::NodeId n : eval->LocatedNodes(doc->hedge)) {
-    std::printf("%s\t%s\n", DeweyString(doc->hedge, n).c_str(),
+    std::printf("%s\t%s\n", doc->hedge.DeweyString(n).c_str(),
                 vocab.symbols.NameOf(doc->hedge.label(n).id).c_str());
   }
   return 0;
@@ -145,7 +139,7 @@ int CmdXPath(const std::string& path_text, const std::string& file) {
   if (!path.ok()) return Fail(path.status().ToString());
   for (hedge::NodeId n : baseline::EvaluateXPath(doc->hedge, *path)) {
     const hedge::Label label = doc->hedge.label(n);
-    std::printf("%s\t%s\n", DeweyString(doc->hedge, n).c_str(),
+    std::printf("%s\t%s\n", doc->hedge.DeweyString(n).c_str(),
                 label.kind == hedge::LabelKind::kSymbol
                     ? vocab.symbols.NameOf(label.id).c_str()
                     : "#text");
@@ -232,7 +226,7 @@ int CmdExample(const std::string& schema_file, const std::string& query_text) {
               vocab.symbols
                   .NameOf((*sample)->document.label((*sample)->located).id)
                   .c_str(),
-              DeweyString((*sample)->document, (*sample)->located).c_str());
+              (*sample)->document.DeweyString((*sample)->located).c_str());
   return 0;
 }
 
@@ -267,8 +261,8 @@ int CmdContains(const std::string& schema_file, const std::string& q1_text,
                                 .label(result->counterexample->located)
                                 .id)
                     .c_str(),
-                DeweyString(result->counterexample->document,
-                            result->counterexample->located)
+                result->counterexample->document
+                    .DeweyString(result->counterexample->located)
                     .c_str());
   }
   return 2;
@@ -748,7 +742,7 @@ int CmdServe(const std::vector<std::string>& args, tools::ObsCli& obs_cli) {
           StrCat(p.idx, " ", serve::OutcomeName(resp.outcome),
                  " located=", resp.located, " attempts=", resp.attempts,
                  " wait_us=", resp.queue_wait_us);
-      if (!resp.status.ok()) line += " " + resp.status.ToString();
+      if (!resp.status.ok()) line += StrCat(" ", resp.status.ToString());
       result_slot(p.idx) = std::move(line);
     }
     pending.clear();
