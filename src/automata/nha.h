@@ -54,9 +54,6 @@ class Nha {
   /// compiler to splice final languages into substitution-symbol slots).
   void SetRuleContent(size_t index, strre::Nfa content);
 
-  /// Drops iota(z) entirely (Lemma 1 case 9 removes z from X2).
-  void ClearSubstState(hedge::SubstId z) { subst_states_.erase(z); }
-
   /// Removes one q from iota(z) (case 9 when only part of the expression is
   /// embedded).
   void RemoveSubstState(hedge::SubstId z, HState q);

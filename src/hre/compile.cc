@@ -345,8 +345,4 @@ Result<Nha> CompileHre(const Hre& e, BudgetScope& scope,
   return out;
 }
 
-bool HreMatches(const Hre& e, const hedge::Hedge& h) {
-  return CompileHre(e).Accepts(h);
-}
-
 }  // namespace hedgeq::hre

@@ -49,11 +49,6 @@ struct CompileTrace {
 Result<automata::Nha> CompileHre(const Hre& e, BudgetScope& scope,
                                  CompileTrace* trace);
 
-/// Membership test by compiling once and simulating (Definition 12
-/// semantics). Convenience for tests and small inputs; reuse the Nha from
-/// CompileHre when matching many hedges.
-bool HreMatches(const Hre& e, const hedge::Hedge& h);
-
 }  // namespace hedgeq::hre
 
 #endif  // HEDGEQ_HRE_COMPILE_H_

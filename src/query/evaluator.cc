@@ -1,5 +1,6 @@
 #include "query/evaluator.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "lint/analyze.h"
@@ -16,37 +17,98 @@ using hedge::Hedge;
 using hedge::kNullNode;
 using hedge::NodeId;
 
+namespace {
+
+// The sibling-class kernel: the elder and younger classes of every member
+// of one sibling group, into buffers that are reused from group to group, so
+// a whole document costs O(1) allocations. Elder classes come from a
+// forward run of ==. Younger classes come from composing its transition
+// functions right to left: a right-invariant DFA cannot be extended
+// leftward state by state, but its transition functions compose, at
+// O(|classes|) per child. With one class there is nothing to compute: the
+// buffers only ever hold the start class.
+class GroupClasses {
+ public:
+  // `rows` is the == DFA as complete dense rows (PhrRuntimeTables::equiv):
+  // rows[c * width + q] is the class reached from class c on M-state q.
+  GroupClasses(const strre::StateId* rows, uint32_t width,
+               uint32_t num_classes, strre::StateId start)
+      : rows_(rows),
+        width_(width),
+        num_classes_(num_classes),
+        start_(start),
+        g_(num_classes),
+        next_g_(num_classes) {}
+
+  void Compute(std::span<const NodeId> kids, const HState* states) {
+    const size_t k = kids.size();
+    if (elder_.size() < k) {
+      elder_.resize(k, start_);
+      younger_.resize(k, start_);
+    }
+    if (num_classes_ == 1) return;
+    strre::StateId s = start_;
+    for (size_t j = 0; j < k; ++j) {
+      elder_[j] = s;
+      s = Next(s, states[kids[j]]);
+    }
+    // g maps each class to the class reached after also reading the
+    // suffix right of the current position.
+    std::iota(g_.begin(), g_.end(), 0);
+    for (size_t j = k; j-- > 0;) {
+      younger_[j] = g_[start_];
+      if (j == 0) break;
+      const HState q = states[kids[j]];
+      for (uint32_t c = 0; c < num_classes_; ++c) {
+        next_g_[c] = g_[Next(c, q)];
+      }
+      g_.swap(next_g_);
+    }
+  }
+
+  // Classes of the j-th member's elder and younger siblings.
+  uint32_t elder(size_t j) const { return elder_[j]; }
+  uint32_t younger(size_t j) const { return younger_[j]; }
+
+ private:
+  strre::StateId Next(strre::StateId c, HState q) const {
+    return rows_[static_cast<size_t>(c) * width_ + q];
+  }
+
+  const strre::StateId* rows_;
+  uint32_t width_;
+  uint32_t num_classes_;
+  strre::StateId start_;
+  std::vector<strre::StateId> g_, next_g_;
+  std::vector<uint32_t> elder_, younger_;
+};
+
+}  // namespace
+
 SiblingClasses ComputeSiblingClasses(const Hedge& doc,
                                      const std::vector<HState>& states,
                                      const strre::Dfa& equiv) {
   SiblingClasses out;
   out.elder.assign(doc.num_nodes(), equiv.start());
   out.younger.assign(doc.num_nodes(), equiv.start());
-  const size_t num_classes = equiv.num_states();
-
-  hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
-    // Prefix classes: forward run of the (complete) == DFA.
-    strre::StateId s = equiv.start();
-    for (NodeId kid : kids) {
-      out.elder[kid] = s;
-      s = equiv.Next(s, states[kid]);
-      HEDGEQ_CHECK_MSG(s != strre::kNoState, "equiv DFA must be complete");
+  // Dense rows over the states this run uses (M's states are dense).
+  HState width = 0;
+  for (HState q : states) width = std::max(width, q + 1);
+  const uint32_t num_classes = static_cast<uint32_t>(equiv.num_states());
+  std::vector<strre::StateId> rows(static_cast<size_t>(num_classes) * width);
+  for (uint32_t c = 0; c < num_classes; ++c) {
+    for (HState q = 0; q < width; ++q) {
+      const strre::StateId to = equiv.Next(c, q);
+      HEDGEQ_CHECK_MSG(to != strre::kNoState, "equiv DFA must be complete");
+      rows[static_cast<size_t>(c) * width + q] = to;
     }
-    // Suffix classes: compose transition functions right-to-left. g maps
-    // each == state to the state reached after reading the suffix that
-    // starts right of the current position.
-    std::vector<strre::StateId> g(num_classes);
-    std::iota(g.begin(), g.end(), 0);
-    std::vector<strre::StateId> next_g(num_classes);
-    for (size_t jj = kids.size(); jj-- > 0;) {
-      out.younger[kids[jj]] = g[equiv.start()];
-      if (jj == 0) break;
-      for (uint32_t c = 0; c < num_classes; ++c) {
-        strre::StateId step = equiv.Next(c, states[kids[jj]]);
-        HEDGEQ_CHECK(step != strre::kNoState);
-        next_g[c] = g[step];
-      }
-      g.swap(next_g);
+  }
+  GroupClasses group(rows.data(), width, num_classes, equiv.start());
+  hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
+    group.Compute(kids, states.data());
+    for (size_t j = 0; j < kids.size(); ++j) {
+      out.elder[kids[j]] = group.elder(j);
+      out.younger[kids[j]] = group.younger(j);
     }
   });
   return out;
@@ -116,13 +178,11 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
     HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalFallbackRuns, 1);
     return lazy_->Locate(doc);
   }
-  // First traversal: bottom-up state assignment by M, then sibling classes.
+  // First traversal: bottom-up state assignment by M.
   std::vector<HState> states;
-  SiblingClasses classes;
   {
     HEDGEQ_OBS_SPAN(pass1, obs::spans::kPhrEvalPass1);
     states = compiled_->dha().Run(doc);
-    classes = ComputeSiblingClasses(doc, states, compiled_->equiv());
     if (obs::Enabled()) {
       HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalPass1Nodes, doc.num_nodes());
       pass1.AddArg("nodes", doc.num_nodes());
@@ -130,26 +190,59 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
   }
   HEDGEQ_OBS_SPAN(pass2, obs::spans::kPhrEvalPass2);
 
-  // Second traversal: top-down run of N (which accepts the mirror of L, so
-  // feeding triplets from the top level toward the node evaluates the
-  // bottom-to-top decomposition sequence). Arena ids ascend from parents to
-  // children, so a forward sweep visits parents first.
-  const strre::Dfa& mirror = compiled_->mirror();
+  // Second traversal: a top-down run of N, which accepts the mirror of L,
+  // so feeding triplets from the top level toward the node evaluates the
+  // bottom-to-top decomposition sequence. Arena ids ascend from parents to
+  // children, so a forward sweep finds every parent's state final. Only the
+  // frozen runtime tables are read.
+  const CompiledPhr& c = *compiled_;
+  const PhrRuntimeTables& rt = c.runtime();
+  const std::span<const uint32_t> column = rt.column();
+  const std::span<const strre::StateId> mirror = rt.mirror();
+  const std::span<const uint32_t> accepting = rt.accepting();
+  const strre::StateId top = c.mirror().start();
   std::vector<strre::StateId> nstate(doc.num_nodes(), strre::kNoState);
   std::vector<bool> located(doc.num_nodes(), false);
-  for (NodeId n = 0; n < doc.num_nodes(); ++n) {
-    if (doc.label(n).kind != hedge::LabelKind::kSymbol) continue;
-    NodeId parent = doc.parent(n);
-    strre::StateId from =
-        parent == kNullNode ? mirror.start() : nstate[parent];
-    if (from == strre::kNoState) continue;  // dead branch
-    uint32_t si = compiled_->SymbolIndex(doc.label(n).id);
-    if (si == CompiledPhr::kNoSymbol) continue;  // label in no triplet
-    strre::Symbol letter =
-        compiled_->EncodeLetter(classes.elder[n], si, classes.younger[n]);
-    strre::StateId to = mirror.Next(from, letter);
+  // N's state at the parent of a node, kNoState on a dead branch.
+  auto from = [&](NodeId parent) {
+    return parent == kNullNode ? top : nstate[parent];
+  };
+  // One step of N into symbol node `n` whose siblings fall into the given
+  // classes.
+  auto step = [&](NodeId n, strre::StateId parent_state, uint32_t elder,
+                  uint32_t younger) {
+    const uint32_t si = c.SymbolIndex(doc.label(n).id);
+    if (si == CompiledPhr::kNoSymbol) return;  // label in no triplet
+    const strre::StateId to =
+        mirror[static_cast<size_t>(parent_state) * rt.num_columns +
+               column[c.EncodeLetter(elder, si, younger)]];
     nstate[n] = to;
-    located[n] = to != strre::kNoState && mirror.IsAccepting(to);
+    located[n] = to != strre::kNoState && accepting[to] != 0;
+  };
+  if (c.num_classes() == 1) {
+    // Every letter has class 0 on both sides, so N steps node by node in
+    // arena order with no sibling walk (chasing sibling links costs more
+    // than the rest of this sweep).
+    for (NodeId n = 0; n < doc.num_nodes(); ++n) {
+      if (doc.label(n).kind != hedge::LabelKind::kSymbol) continue;
+      const strre::StateId parent_state = from(doc.parent(n));
+      if (parent_state != strre::kNoState) step(n, parent_state, 0, 0);
+    }
+  } else {
+    // One sweep over the sibling groups: the group's classes into shared
+    // buffers, then N's step into each member. A dead parent's group is
+    // skipped whole, since nothing below it can match.
+    GroupClasses group(rt.equiv().data(), rt.width, c.num_classes(),
+                       c.equiv().start());
+    hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
+      const strre::StateId parent_state = from(doc.parent(kids.front()));
+      if (parent_state == strre::kNoState) return;
+      group.Compute(kids, states.data());
+      for (size_t j = 0; j < kids.size(); ++j) {
+        if (doc.label(kids[j]).kind != hedge::LabelKind::kSymbol) continue;
+        step(kids[j], parent_state, group.elder(j), group.younger(j));
+      }
+    });
   }
   // Seeded-bug probe: report a wrong node set (the first symbol node
   // flipped) so the selection oracle must catch the eager engine lying.

@@ -11,9 +11,10 @@
 
 namespace hedgeq::query {
 
-/// Per-node sibling context computed during the first traversal: the
-/// equivalence class (a state of the == DFA) of the elder-sibling state
-/// sequence and of the younger-sibling state sequence.
+/// Per-node sibling context: the equivalence class (a state of the == DFA)
+/// of the elder-sibling state sequence and of the younger-sibling state
+/// sequence. PhrEvaluator::Locate keeps these per sibling group only; the
+/// per-node arrays serve Theorem 5 (schema/match_identify) and tests.
 struct SiblingClasses {
   std::vector<uint32_t> elder;
   std::vector<uint32_t> younger;
@@ -23,12 +24,22 @@ struct SiblingClasses {
 /// prefixes by a forward run of the == DFA, suffixes by right-to-left
 /// composition of its transition functions (a right-invariant DFA cannot be
 /// extended leftward state-by-state, but its transition functions compose).
+/// A loop over the same per-sibling-group kernel that PhrEvaluator::Locate
+/// runs, with `equiv`'s rows made dense once per call.
 SiblingClasses ComputeSiblingClasses(const hedge::Hedge& doc,
                                      const std::vector<automata::HState>& states,
                                      const strre::Dfa& equiv);
 
 /// Algorithm 1: evaluates a compiled pointed hedge representation against
-/// documents with two depth-first traversals, linear in the node count.
+/// documents with two traversals, linear in the node count. The first is
+/// the DHA run of M. The second is one forward sweep over the sibling
+/// groups that computes each group's elder/younger classes into buffers
+/// shared by all groups and steps N from the parent's state; it skips every
+/// group under a dead parent. With one class there are no classes to
+/// compute, and the sweep steps N node by node in arena order instead.
+/// Both passes read only CompiledPhr::runtime()'s dense tables. A Locate
+/// allocates M's states, N's states and the output, plus buffers that grow
+/// with the largest sibling group: O(1) allocations, never one per node.
 ///
 /// Robustness: Create first attempts the eager Theorem 4 compilation under
 /// `budget`; if (and only if) that fails with kResourceExhausted it falls

@@ -1,5 +1,6 @@
 #include "query/phr_compile.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "hre/compile.h"
@@ -46,6 +47,58 @@ void SetPhrProductValidationHook(PhrProductValidationHook hook) {
 
 PhrProductValidationHook GetPhrProductValidationHook() {
   return g_phr_product_hook.load(std::memory_order_relaxed);
+}
+
+Status CompiledPhr::FreezeRuntimeTables(BudgetScope& scope) {
+  HEDGEQ_FAILPOINT("phr/dense");
+  PhrRuntimeTables& rt = runtime_;
+  const size_t num_letters =
+      static_cast<size_t>(num_classes_) * num_symbols() * num_classes_;
+  const size_t num_mirror = mirror_.num_states();
+  const std::vector<strre::Symbol> used = mirror_.AlphabetInUse();
+  rt.width = dha_.num_states();
+  rt.num_columns = static_cast<uint32_t>(used.size()) + 1;
+  rt.column_at = static_cast<size_t>(num_classes_) * rt.width;
+  rt.mirror_at = rt.column_at + num_letters;
+  rt.accepting_at = rt.mirror_at + num_mirror * rt.num_columns;
+  const size_t num_cells = rt.accepting_at + num_mirror;
+  HEDGEQ_RETURN_IF_ERROR(scope.ChargeBytes(
+      (num_cells + rt.symbol_index.size()) * sizeof(uint32_t), "phr/dense"));
+
+  rt.cells.assign(num_cells, strre::kNoState);
+  uint32_t* equiv = rt.cells.data();
+  uint32_t* column = equiv + rt.column_at;
+  uint32_t* mirror = equiv + rt.mirror_at;
+  uint32_t* accepting = equiv + rt.accepting_at;
+  for (uint32_t c = 0; c < num_classes_; ++c) {
+    for (HState q = 0; q < rt.width; ++q) {
+      const strre::StateId to = equiv_.Next(c, q);
+      HEDGEQ_CHECK_MSG(to != strre::kNoState, "equiv DFA must be complete");
+      equiv[static_cast<size_t>(c) * rt.width + q] = to;
+    }
+  }
+  std::fill(column, column + num_letters, 0);
+  for (uint32_t k = 0; k < used.size(); ++k) {
+    HEDGEQ_CHECK(used[k] < num_letters);
+    column[used[k]] = k + 1;
+  }
+  for (strre::StateId s = 0; s < num_mirror; ++s) {
+    uint32_t* row = mirror + static_cast<size_t>(s) * rt.num_columns;
+    for (const auto& [letter, to] : mirror_.TransitionsFrom(s)) {
+      row[column[letter]] = to;
+    }
+    accepting[s] = mirror_.IsAccepting(s) ? 1 : 0;
+  }
+  // Seeded bug for the checker: the start state's row of N comes out with
+  // every entry flipped between dead and the start state.
+  if (num_mirror > 0 && !failpoint::Check("phr/dense-flip-row").ok()) {
+    const strre::StateId start = mirror_.start();
+    uint32_t* row = mirror + static_cast<size_t>(start) * rt.num_columns;
+    for (uint32_t k = 0; k < rt.num_columns; ++k) {
+      row[k] = row[k] == strre::kNoState ? start : strre::kNoState;
+    }
+  }
+  return Status::Ok();
 }
 
 Result<CompiledPhr> CompilePhr(const phr::Phr& phr,
@@ -185,10 +238,13 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
   }
 
   // --- Dense symbol index over the triplet alphabet.
+  std::vector<uint32_t>& symbol_index = out.runtime_.symbol_index;
   for (const phr::PointedBaseRep& t : phr.triplets()) {
-    if (!out.symbol_index_.contains(t.label)) {
-      out.symbol_index_.emplace(t.label,
-                                static_cast<uint32_t>(out.symbols_.size()));
+    if (t.label >= symbol_index.size()) {
+      symbol_index.resize(t.label + 1, CompiledPhr::kNoSymbol);
+    }
+    if (symbol_index[t.label] == CompiledPhr::kNoSymbol) {
+      symbol_index[t.label] = static_cast<uint32_t>(out.symbols_.size());
       out.symbols_.push_back(t.label);
     }
   }
@@ -225,6 +281,8 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
       strre::DeterminizeBounded(strre::ReverseNfa(out.language_), scope);
   if (!mirror.ok()) return mirror.status();
   out.mirror_ = std::move(mirror).value();
+
+  HEDGEQ_RETURN_IF_ERROR(out.FreezeRuntimeTables(scope));
 
   if (PhrProductValidationHook hook = GetPhrProductValidationHook();
       hook != nullptr && witness != nullptr) {

@@ -103,8 +103,9 @@ std::vector<lint::Diagnostic> CheckMinimize(
 /// DFA against its witnessed final NFA, the class product against an
 /// independent tuple walk of the components, the elder/younger acceptance
 /// maps against the tuple coordinates, the xi-image substitution against
-/// a recomputed regex automaton, and the mirror against a reversed-subset
-/// simulation of L.
+/// a recomputed regex automaton, the mirror against a reversed-subset
+/// simulation of L, and the runtime tables Algorithm 1 reads against the
+/// class product and the mirror, entry by entry.
 std::vector<lint::Diagnostic> CheckPhrProduct(
     const phr::Phr& phr, const query::CompiledPhr& compiled,
     const query::PhrWitness& witness);

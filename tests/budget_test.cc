@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
+#include "phr/phr.h"
+#include "query/evaluator.h"
+#include "query/phr_compile.h"
 #include "util/budget.h"
 
 namespace hedgeq {
@@ -156,6 +160,42 @@ TEST(DeadlineTest, DeadlineStatusIsDegradable) {
   EXPECT_FALSE(IsDegradable(StatusCode::kInvalidArgument));
   EXPECT_FALSE(IsDegradable(StatusCode::kInternal));
   EXPECT_FALSE(IsDegradable(StatusCode::kOk));
+}
+
+// The Theorem 4 compile charges its frozen runtime tables last, as stage
+// phr/dense: a byte cap one short of a full compile trips exactly there,
+// and PhrEvaluator degrades to the lazy engine with the same answers.
+TEST(PhrDenseBudgetTest, TightByteCapTripsDenseTablesAndDegrades) {
+  hedge::Vocabulary vocab;
+  auto phr = phr::ParsePhr("[a*; b; a<%z>*^z] (a|b)*", vocab);
+  ASSERT_TRUE(phr.ok()) << phr.status().ToString();
+  BudgetScope full(ExecBudget::Unlimited());
+  auto eager = query::CompilePhr(*phr, full);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  const size_t needed = full.bytes_used();
+
+  ExecBudget tight;
+  tight.max_memory_bytes = needed - 1;
+  auto starved = query::CompilePhr(*phr, tight);
+  ASSERT_FALSE(starved.ok());
+  EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(Contains(starved.status(), "phr/dense"))
+      << starved.status().ToString();
+
+  auto reference = query::PhrEvaluator::Create(*phr);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference->fallback_used());
+  auto degraded = query::PhrEvaluator::Create(*phr, tight);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_TRUE(degraded->fallback_used());
+  auto doc = hedge::ParseHedge(
+      "a<b a b<a<a>> a> b<a b a<b>> a b a<a> b", vocab);
+  ASSERT_TRUE(doc.ok());
+  const std::vector<bool> want = reference->Locate(*doc);
+  EXPECT_EQ(degraded->Locate(*doc), want);
+  size_t hits = 0;
+  for (bool b : want) hits += b ? 1 : 0;
+  EXPECT_GT(hits, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "hre/compile.h"
 #include "hre/from_nha.h"
 #include "lint/diagnostics.h"
+#include "phr/phr.h"
+#include "query/phr_compile.h"
 #include "query/selection.h"
 #include "schema/algebra.h"
 #include "schema/schema.h"
@@ -243,6 +245,32 @@ TEST_F(LightCheckTest, SeededDroppedProductRuleRejectedByBothModes) {
 #endif
   ASSERT_TRUE(cert.ok()) << cert.status().ToString();
   ExpectBothModesReject(*cert, DiagnosticCode::kAlgebraWitnessRejected);
+}
+
+TEST_F(LightCheckTest, SeededDenseRowFlipCaughtRegardlessOfCheckMode) {
+  // Algorithm 1's runtime tables are rebuilt from the certified automata on
+  // every compile and never travel through a certificate or the cache, so
+  // the check mode cannot weaken their check: a flipped row of N is
+  // rejected under HQV011 by CheckPhrProduct whichever mode the cache uses.
+#ifdef HEDGEQ_CERTIFY
+  query::PhrProductValidationHook saved = query::GetPhrProductValidationHook();
+  query::SetPhrProductValidationHook(nullptr);
+#endif
+  auto phr = phr::ParsePhr("[(); doc; *] (doc|a)*", vocab_);
+  ASSERT_TRUE(phr.ok());
+  BudgetScope scope{ExecBudget{}};
+  query::PhrWitness witness;
+  failpoint::Arm("phr/dense-flip-row");
+  auto compiled = query::CompilePhr(*phr, scope, &witness);
+  failpoint::DisarmAll();
+#ifdef HEDGEQ_CERTIFY
+  query::SetPhrProductValidationHook(saved);
+#endif
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::vector<Diagnostic> diagnostics =
+      CheckPhrProduct(*phr, *compiled, witness);
+  EXPECT_TRUE(HasCode(diagnostics, DiagnosticCode::kPhrProductIncoherent))
+      << Render(diagnostics);
 }
 
 TEST_F(LightCheckTest, SeededWrongSelectionCaughtRegardlessOfCheckMode) {

@@ -4,6 +4,8 @@
 
 #include "query/evaluator.h"
 #include "query/phr_compile.h"
+#include "query/selection.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -218,6 +220,137 @@ TEST_F(QueryTest, DeterminizationCapsFallBackToLazyEngine) {
   std::vector<bool> located = evaluator->Locate(doc);
   EXPECT_EQ(located.size(), doc.num_nodes());
   EXPECT_TRUE(evaluator->stats().fallback_used);
+}
+
+// --- Eager Locate against the Definition 22 oracle, on the shapes and
+// labels the dense runtime tables and the fused sweep special-case.
+
+class LocateEquivalenceTest : public QueryTest {
+ protected:
+  void TearDown() override { failpoint::DisarmAll(); }
+
+  // Eager Locate of select(*; phr) on `doc` equals the naive evaluator's.
+  // Returns the eager answer.
+  std::vector<bool> ExpectAgrees(const std::string& phr_text,
+                                 const Hedge& doc) {
+    auto q = ParseSelectionQuery("select(*; " + phr_text + ")", vocab_);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    if (!q.ok()) return {};
+    auto evaluator = PhrEvaluator::Create(q->envelope);
+    EXPECT_TRUE(evaluator.ok()) << evaluator.status().ToString();
+    if (!evaluator.ok()) return {};
+    EXPECT_FALSE(evaluator->fallback_used());
+    std::vector<bool> got = evaluator->Locate(doc);
+    EXPECT_EQ(got, NaiveSelectionEvaluator(*q).Locate(doc))
+        << phr_text << " on " << doc.ToString(vocab_);
+    return got;
+  }
+
+  static size_t Count(const std::vector<bool>& located) {
+    size_t hits = 0;
+    for (bool b : located) hits += b ? 1 : 0;
+    return hits;
+  }
+};
+
+// Queries over the single symbol of UniformTree: one class (a path
+// expression) and several sibling-conditioned ones.
+const char* kSectionPhrs[] = {
+    "section (section|article)*",
+    "[(); section; *] section*",
+    "[section<%z>*^z; section; *] section*",
+    "[*; section; section<%z>*^z section<%z>*^z] section*",
+    "[(); section; *] [*; section; ()] section*",
+};
+
+TEST_F(LocateEquivalenceTest, SingleAndMultiClassQueriesOnEveryShape) {
+  struct Shape {
+    const char* name;
+    size_t depth, fanout;
+  };
+  // The wide, deep and bushy shapes of BM_LocateByShape, scaled down for
+  // the quadratic oracle. UniformTree numbers nodes level by level, not in
+  // document order.
+  const Shape shapes[] = {
+      {"wide", 1, 150}, {"deep", 150, 1}, {"bushy", 4, 4}};
+  size_t multi_class = 0;
+  for (const char* text : kSectionPhrs) {
+    auto phr = ParsePhr(text, vocab_);
+    ASSERT_TRUE(phr.ok());
+    auto compiled = CompilePhr(*phr);
+    ASSERT_TRUE(compiled.ok());
+    multi_class += compiled->num_classes() > 1 ? 1 : 0;
+    size_t hits = 0;
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(std::string(text) + " / " + shape.name);
+      Hedge doc = workload::UniformTree(vocab_, shape.depth, shape.fanout,
+                                        "section");
+      hits += Count(ExpectAgrees(text, doc));
+    }
+    EXPECT_GT(hits, 0u) << text;
+  }
+  EXPECT_GE(multi_class, 3u);
+}
+
+TEST_F(LocateEquivalenceTest, LabelsOutsideTheTripletAlphabet) {
+  // "early" is interned before the query, so its id falls inside the dense
+  // symbol index without a triplet; "late" is interned after compiling, so
+  // its id lies past the index's end.
+  vocab_.symbols.Intern("early");
+  const char* phr_text = "[*; b; a<%z>*^z] [(); a; *] (a|b)*";
+  auto phr = ParsePhr(phr_text, vocab_);
+  ASSERT_TRUE(phr.ok());
+  auto compiled = CompilePhr(*phr);
+  ASSERT_TRUE(compiled.ok());
+  const hedge::SymbolId early = *vocab_.symbols.Find("early");
+  EXPECT_EQ(compiled->SymbolIndex(early), CompiledPhr::kNoSymbol);
+  EXPECT_LT(early, compiled->runtime().symbol_index.size());
+  Hedge doc =
+      Parse("a<late<b a> early<b a> $x b a<a>> late early<a> a<b a>");
+  const hedge::SymbolId late = *vocab_.symbols.Find("late");
+  EXPECT_GE(late, compiled->runtime().symbol_index.size());
+  EXPECT_EQ(compiled->SymbolIndex(late), CompiledPhr::kNoSymbol);
+  EXPECT_GT(Count(ExpectAgrees(phr_text, doc)), 0u);
+  ExpectAgrees("a (a|b)*", doc);
+}
+
+TEST_F(LocateEquivalenceTest, DeadBranchesLocateNothingBelowThem) {
+  // Under para (no triplet) and under caption (a triplet whose step from
+  // the top is dead), figures that would match under sections stay
+  // unlocated.
+  Hedge doc = Parse(
+      "section<figure para<section<figure> figure> caption<section<figure>>"
+      " section<para figure section<figure caption>>> para<figure>");
+  for (const char* text :
+       {"figure section*", "[*; figure; caption<%z>*^z] section*",
+        "[(); figure; *] (section|caption)* section"}) {
+    SCOPED_TRACE(text);
+    std::vector<bool> got = ExpectAgrees(text, doc);
+    for (NodeId n = 0; n < doc.num_nodes(); ++n) {
+      for (NodeId p = doc.parent(n); got[n] && p != hedge::kNullNode;
+           p = doc.parent(p)) {
+        EXPECT_NE(vocab_.symbols.NameOf(doc.label(p).id), "para");
+      }
+    }
+  }
+}
+
+TEST_F(LocateEquivalenceTest, SeededWrongNodeStillFlipsOneAnswer) {
+  auto phr = ParsePhr("[*; section; section<%z>*^z] section*", vocab_);
+  ASSERT_TRUE(phr.ok());
+  auto evaluator = PhrEvaluator::Create(*phr);
+  ASSERT_TRUE(evaluator.ok());
+  Hedge doc = workload::UniformTree(vocab_, 2, 3, "section");
+  const std::vector<bool> clean = evaluator->Locate(doc);
+  failpoint::Arm("phr/select-wrong-node");
+  const std::vector<bool> wrong = evaluator->Locate(doc);
+  failpoint::DisarmAll();
+  ASSERT_EQ(wrong.size(), clean.size());
+  size_t differ = 0;
+  for (size_t n = 0; n < clean.size(); ++n) {
+    differ += wrong[n] != clean[n] ? 1 : 0;
+  }
+  EXPECT_EQ(differ, 1u);
 }
 
 }  // namespace

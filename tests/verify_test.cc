@@ -755,6 +755,35 @@ TEST_F(VerifyTest, TamperedPhrProductWitnessRejected) {
   EXPECT_FALSE(diagnostics.empty());
 }
 
+TEST_F(VerifyTest, SeededDenseRowFlipRejected) {
+  // The frozen runtime tables are what Locate reads: a row of N that
+  // disagrees with the certified mirror must be rejected even though every
+  // certified automaton is intact.
+#ifdef HEDGEQ_CERTIFY
+  query::PhrProductValidationHook saved = query::GetPhrProductValidationHook();
+  query::SetPhrProductValidationHook(nullptr);
+#endif
+  for (const char* text :
+       {"[a0*; a1; *] (a0|a1|a2)*", "a1 a0*", "[(); a0; a1] [a1; a0; ()]"}) {
+    SCOPED_TRACE(text);
+    auto phr = phr::ParsePhr(text, vocab_);
+    ASSERT_TRUE(phr.ok());
+    BudgetScope scope{ExecBudget{}};
+    query::PhrWitness witness;
+    failpoint::Arm("phr/dense-flip-row");
+    auto compiled = query::CompilePhr(*phr, scope, &witness);
+    failpoint::DisarmAll();
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    std::vector<Diagnostic> diagnostics =
+        CheckPhrProduct(*phr, *compiled, witness);
+    EXPECT_TRUE(HasCode(diagnostics, DiagnosticCode::kPhrProductIncoherent))
+        << Render(diagnostics);
+  }
+#ifdef HEDGEQ_CERTIFY
+  query::SetPhrProductValidationHook(saved);
+#endif
+}
+
 // --- Containment certificates (HQV012).
 
 constexpr const char* kContainGrammar =
