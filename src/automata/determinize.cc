@@ -10,6 +10,7 @@
 #include "automata/content_union.h"
 #include "obs/catalogue.h"
 #include "obs/obs.h"
+#include "strre/ops.h"
 #include "util/check.h"
 #include "util/digest.h"
 #include "util/failpoint.h"
@@ -361,7 +362,10 @@ Result<strre::Dfa> LiftToSubsetsBounded(const Nfa& lang,
     worklist.push_back(std::move(set));
     return id;
   };
+  size_t table_bytes = 0;
   auto charge = [&](size_t prev) -> Status {
+    HEDGEQ_RETURN_IF_ERROR(strre::ChargeTableGrowth(out, table_bytes, scope,
+                                                    "determinize/lift"));
     if (worklist.size() == prev) return Status::Ok();
     HEDGEQ_RETURN_IF_ERROR(
         scope.ChargeStates(worklist.size() - prev, "determinize/lift"));

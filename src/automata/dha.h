@@ -98,7 +98,7 @@ class Dha {
 
 class Dha::Stepper {
  public:
-  explicit Stepper(const Dha& dha) : dha_(dha) {
+  explicit Stepper(const Dha& dha) : dha_(dha), final_(dha.final_.view()) {
     for (const auto& [symbol, row] : dha.assign_) {
       if (symbol >= rows_.size()) rows_.resize(symbol + 1, nullptr);
       rows_[symbol] = &row;
@@ -117,14 +117,15 @@ class Dha::Stepper {
   HState SubstState(hedge::SubstId z) const { return dha_.SubstState(z); }
   strre::StateId FinalStart() const { return dha_.final_.start(); }
   strre::StateId FinalNext(strre::StateId f, HState q) const {
-    return dha_.final_.Next(f, q);
+    return final_.Next(f, q);
   }
   bool FinalAccepting(strre::StateId f) const {
-    return f != strre::kNoState && dha_.final_.IsAccepting(f);
+    return f != strre::kNoState && final_.IsAccepting(f);
   }
 
  private:
   const Dha& dha_;
+  strre::Dfa::View final_;  // F's dense rows
   std::vector<const std::vector<HState>*> rows_;  // by symbol; null = sink
 };
 

@@ -1,6 +1,5 @@
 #include "automata/serialize.h"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -283,10 +282,7 @@ std::string SerializeDha(const Dha& dha, const hedge::Vocabulary& vocab) {
   }
   out += accepts + "\n";
   for (strre::StateId s = 0; s < final.num_states(); ++s) {
-    std::vector<std::pair<strre::Symbol, strre::StateId>> sorted(
-        final.TransitionsFrom(s).begin(), final.TransitionsFrom(s).end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto& [letter, to] : sorted) {
+    for (const auto& [letter, to] : final.Transitions(s)) {
       out += StrCat("d ", s, " ", letter, " ", to, "\n");
     }
   }
@@ -422,7 +418,9 @@ Result<Dha> DeserializeDha(std::string_view text, hedge::Vocabulary& vocab) {
         if (!from.ok() || !letter.ok() || !to.ok()) {
           return Status::InvalidArgument("bad final dfa transition line");
         }
-        if (*from >= *count || *to >= *count) {
+        // Letters are M's states; an out-of-range one would also size the
+        // final DFA's dense column array.
+        if (*from >= *count || *to >= *count || *letter >= *num_states) {
           return Status::InvalidArgument(
               "final dfa transition out of range");
         }

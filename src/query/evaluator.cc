@@ -1,13 +1,11 @@
 #include "query/evaluator.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "lint/analyze.h"
 #include "obs/catalogue.h"
 #include "obs/obs.h"
 #include "obs/scope.h"
-#include "util/check.h"
 #include "util/failpoint.h"
 
 namespace hedgeq::query {
@@ -29,19 +27,19 @@ namespace {
 // buffers only ever hold the start class.
 class GroupClasses {
  public:
-  // `rows` is the == DFA as complete dense rows (PhrRuntimeTables::equiv):
-  // rows[c * width + q] is the class reached from class c on M-state q.
-  GroupClasses(const strre::StateId* rows, uint32_t width,
-               uint32_t num_classes, strre::StateId start)
-      : rows_(rows),
-        width_(width),
-        num_classes_(num_classes),
-        start_(start),
-        g_(num_classes),
-        next_g_(num_classes) {}
+  // `equiv` must be complete over every M-state the runs read.
+  explicit GroupClasses(const strre::Dfa& equiv)
+      : equiv_(equiv.view()),
+        num_classes_(static_cast<uint32_t>(equiv.num_states())),
+        start_(equiv.start()),
+        g_(num_classes_),
+        next_g_(num_classes_) {}
 
   void Compute(std::span<const NodeId> kids, const HState* states) {
     const size_t k = kids.size();
+    // A local copy of the view, so that stores into the buffers cannot
+    // force its fields to be reloaded.
+    const strre::Dfa::View equiv = equiv_;
     if (elder_.size() < k) {
       elder_.resize(k, start_);
       younger_.resize(k, start_);
@@ -50,7 +48,7 @@ class GroupClasses {
     strre::StateId s = start_;
     for (size_t j = 0; j < k; ++j) {
       elder_[j] = s;
-      s = Next(s, states[kids[j]]);
+      s = equiv.Row(s)[equiv.Column(states[kids[j]])];
     }
     // g maps each class to the class reached after also reading the
     // suffix right of the current position.
@@ -58,9 +56,9 @@ class GroupClasses {
     for (size_t j = k; j-- > 0;) {
       younger_[j] = g_[start_];
       if (j == 0) break;
-      const HState q = states[kids[j]];
+      const uint32_t column = equiv.Column(states[kids[j]]);
       for (uint32_t c = 0; c < num_classes_; ++c) {
-        next_g_[c] = g_[Next(c, q)];
+        next_g_[c] = g_[equiv.Row(c)[column]];
       }
       g_.swap(next_g_);
     }
@@ -71,12 +69,7 @@ class GroupClasses {
   uint32_t younger(size_t j) const { return younger_[j]; }
 
  private:
-  strre::StateId Next(strre::StateId c, HState q) const {
-    return rows_[static_cast<size_t>(c) * width_ + q];
-  }
-
-  const strre::StateId* rows_;
-  uint32_t width_;
+  strre::Dfa::View equiv_;
   uint32_t num_classes_;
   strre::StateId start_;
   std::vector<strre::StateId> g_, next_g_;
@@ -91,19 +84,7 @@ SiblingClasses ComputeSiblingClasses(const Hedge& doc,
   SiblingClasses out;
   out.elder.assign(doc.num_nodes(), equiv.start());
   out.younger.assign(doc.num_nodes(), equiv.start());
-  // Dense rows over the states this run uses (M's states are dense).
-  HState width = 0;
-  for (HState q : states) width = std::max(width, q + 1);
-  const uint32_t num_classes = static_cast<uint32_t>(equiv.num_states());
-  std::vector<strre::StateId> rows(static_cast<size_t>(num_classes) * width);
-  for (uint32_t c = 0; c < num_classes; ++c) {
-    for (HState q = 0; q < width; ++q) {
-      const strre::StateId to = equiv.Next(c, q);
-      HEDGEQ_CHECK_MSG(to != strre::kNoState, "equiv DFA must be complete");
-      rows[static_cast<size_t>(c) * width + q] = to;
-    }
-  }
-  GroupClasses group(rows.data(), width, num_classes, equiv.start());
+  GroupClasses group(equiv);
   hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
     group.Compute(kids, states.data());
     for (size_t j = 0; j < kids.size(); ++j) {
@@ -193,13 +174,9 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
   // Second traversal: a top-down run of N, which accepts the mirror of L,
   // so feeding triplets from the top level toward the node evaluates the
   // bottom-to-top decomposition sequence. Arena ids ascend from parents to
-  // children, so a forward sweep finds every parent's state final. Only the
-  // frozen runtime tables are read.
+  // children, so a forward sweep finds every parent's state final.
   const CompiledPhr& c = *compiled_;
-  const PhrRuntimeTables& rt = c.runtime();
-  const std::span<const uint32_t> column = rt.column();
-  const std::span<const strre::StateId> mirror = rt.mirror();
-  const std::span<const uint32_t> accepting = rt.accepting();
+  const strre::Dfa::View mirror = c.mirror().view();
   const strre::StateId top = c.mirror().start();
   std::vector<strre::StateId> nstate(doc.num_nodes(), strre::kNoState);
   std::vector<bool> located(doc.num_nodes(), false);
@@ -213,11 +190,10 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
                   uint32_t younger) {
     const uint32_t si = c.SymbolIndex(doc.label(n).id);
     if (si == CompiledPhr::kNoSymbol) return;  // label in no triplet
-    const strre::StateId to =
-        mirror[static_cast<size_t>(parent_state) * rt.num_columns +
-               column[c.EncodeLetter(elder, si, younger)]];
+    const strre::StateId to = mirror.Row(
+        parent_state)[mirror.Column(c.EncodeLetter(elder, si, younger))];
     nstate[n] = to;
-    located[n] = to != strre::kNoState && accepting[to] != 0;
+    located[n] = to != strre::kNoState && mirror.IsAccepting(to);
   };
   if (c.num_classes() == 1) {
     // Every letter has class 0 on both sides, so N steps node by node in
@@ -232,8 +208,7 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
     // One sweep over the sibling groups: the group's classes into shared
     // buffers, then N's step into each member. A dead parent's group is
     // skipped whole, since nothing below it can match.
-    GroupClasses group(rt.equiv().data(), rt.width, c.num_classes(),
-                       c.equiv().start());
+    GroupClasses group(c.equiv());
     hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
       const strre::StateId parent_state = from(doc.parent(kids.front()));
       if (parent_state == strre::kNoState) return;

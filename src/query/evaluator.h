@@ -25,7 +25,8 @@ struct SiblingClasses {
 /// composition of its transition functions (a right-invariant DFA cannot be
 /// extended leftward state-by-state, but its transition functions compose).
 /// A loop over the same per-sibling-group kernel that PhrEvaluator::Locate
-/// runs, with `equiv`'s rows made dense once per call.
+/// runs, reading `equiv`'s dense rows. `equiv` must be complete over the
+/// states in `states`, as CompilePhr's is.
 SiblingClasses ComputeSiblingClasses(const hedge::Hedge& doc,
                                      const std::vector<automata::HState>& states,
                                      const strre::Dfa& equiv);
@@ -37,21 +38,24 @@ SiblingClasses ComputeSiblingClasses(const hedge::Hedge& doc,
 /// shared by all groups and steps N from the parent's state; it skips every
 /// group under a dead parent. With one class there are no classes to
 /// compute, and the sweep steps N node by node in arena order instead.
-/// Both passes read only CompiledPhr::runtime()'s dense tables. A Locate
+/// Every step is an array read in the dense rows of M, of the == DFA or
+/// of N, the same automata the checker certifies. A Locate
 /// allocates M's states, N's states and the output, plus buffers that grow
 /// with the largest sibling group: O(1) allocations, never one per node.
 ///
 /// Robustness: Create first attempts the eager Theorem 4 compilation under
-/// `budget`; if (and only if) that fails with kResourceExhausted it falls
-/// back transparently to the LazyPhrEvaluator, which answers the same
+/// `budget`; if (and only if) that fails with a degradable status
+/// (IsDegradable: kResourceExhausted or kDeadlineExceeded) it falls back
+/// transparently to the LazyPhrEvaluator, which answers the same
 /// queries with bounded memory. Inspect fallback_used()/stats() to learn
 /// which engine is active and what it spent.
 class PhrEvaluator {
  public:
   explicit PhrEvaluator(CompiledPhr compiled) : compiled_(std::move(compiled)) {}
 
-  /// Compiles (Theorem 4) and wraps; on budget exhaustion degrades to the
-  /// lazy engine. Any other error (bad input, injected fault) propagates.
+  /// Compiles (Theorem 4) and wraps; on budget exhaustion or an expired
+  /// deadline degrades to the lazy engine. Any other error (bad input,
+  /// injected fault) propagates.
   static Result<PhrEvaluator> Create(const phr::Phr& phr,
                                      const ExecBudget& budget = {});
 

@@ -39,6 +39,27 @@ Nfa ShiftLetters(const Nfa& nfa, HState offset) {
   });
 }
 
+// A copy of `dfa` whose start row is flipped over the letters in use: each
+// dead entry leads to the start state, and each live one dies.
+Dfa FlipStartRow(const Dfa& dfa) {
+  Dfa out;
+  for (strre::StateId s = 0; s < dfa.num_states(); ++s) {
+    out.AddState(dfa.IsAccepting(s));
+  }
+  out.SetStart(dfa.start());
+  for (strre::Symbol letter : dfa.AlphabetInUse()) {
+    for (strre::StateId s = 0; s < dfa.num_states(); ++s) {
+      const strre::StateId to = dfa.Next(s, letter);
+      if (s == dfa.start()) {
+        if (to == strre::kNoState) out.SetTransition(s, letter, s);
+      } else if (to != strre::kNoState) {
+        out.SetTransition(s, letter, to);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void SetPhrProductValidationHook(PhrProductValidationHook hook) {
@@ -47,58 +68,6 @@ void SetPhrProductValidationHook(PhrProductValidationHook hook) {
 
 PhrProductValidationHook GetPhrProductValidationHook() {
   return g_phr_product_hook.load(std::memory_order_relaxed);
-}
-
-Status CompiledPhr::FreezeRuntimeTables(BudgetScope& scope) {
-  HEDGEQ_FAILPOINT("phr/dense");
-  PhrRuntimeTables& rt = runtime_;
-  const size_t num_letters =
-      static_cast<size_t>(num_classes_) * num_symbols() * num_classes_;
-  const size_t num_mirror = mirror_.num_states();
-  const std::vector<strre::Symbol> used = mirror_.AlphabetInUse();
-  rt.width = dha_.num_states();
-  rt.num_columns = static_cast<uint32_t>(used.size()) + 1;
-  rt.column_at = static_cast<size_t>(num_classes_) * rt.width;
-  rt.mirror_at = rt.column_at + num_letters;
-  rt.accepting_at = rt.mirror_at + num_mirror * rt.num_columns;
-  const size_t num_cells = rt.accepting_at + num_mirror;
-  HEDGEQ_RETURN_IF_ERROR(scope.ChargeBytes(
-      (num_cells + rt.symbol_index.size()) * sizeof(uint32_t), "phr/dense"));
-
-  rt.cells.assign(num_cells, strre::kNoState);
-  uint32_t* equiv = rt.cells.data();
-  uint32_t* column = equiv + rt.column_at;
-  uint32_t* mirror = equiv + rt.mirror_at;
-  uint32_t* accepting = equiv + rt.accepting_at;
-  for (uint32_t c = 0; c < num_classes_; ++c) {
-    for (HState q = 0; q < rt.width; ++q) {
-      const strre::StateId to = equiv_.Next(c, q);
-      HEDGEQ_CHECK_MSG(to != strre::kNoState, "equiv DFA must be complete");
-      equiv[static_cast<size_t>(c) * rt.width + q] = to;
-    }
-  }
-  std::fill(column, column + num_letters, 0);
-  for (uint32_t k = 0; k < used.size(); ++k) {
-    HEDGEQ_CHECK(used[k] < num_letters);
-    column[used[k]] = k + 1;
-  }
-  for (strre::StateId s = 0; s < num_mirror; ++s) {
-    uint32_t* row = mirror + static_cast<size_t>(s) * rt.num_columns;
-    for (const auto& [letter, to] : mirror_.TransitionsFrom(s)) {
-      row[column[letter]] = to;
-    }
-    accepting[s] = mirror_.IsAccepting(s) ? 1 : 0;
-  }
-  // Seeded bug for the checker: the start state's row of N comes out with
-  // every entry flipped between dead and the start state.
-  if (num_mirror > 0 && !failpoint::Check("phr/dense-flip-row").ok()) {
-    const strre::StateId start = mirror_.start();
-    uint32_t* row = mirror + static_cast<size_t>(start) * rt.num_columns;
-    for (uint32_t k = 0; k < rt.num_columns; ++k) {
-      row[k] = row[k] == strre::kNoState ? start : strre::kNoState;
-    }
-  }
-  return Status::Ok();
 }
 
 Result<CompiledPhr> CompilePhr(const phr::Phr& phr,
@@ -238,7 +207,7 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
   }
 
   // --- Dense symbol index over the triplet alphabet.
-  std::vector<uint32_t>& symbol_index = out.runtime_.symbol_index;
+  std::vector<uint32_t>& symbol_index = out.symbol_index_;
   for (const phr::PointedBaseRep& t : phr.triplets()) {
     if (t.label >= symbol_index.size()) {
       symbol_index.resize(t.label + 1, CompiledPhr::kNoSymbol);
@@ -248,6 +217,8 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
       out.symbols_.push_back(t.label);
     }
   }
+  HEDGEQ_RETURN_IF_ERROR(scope.ChargeBytes(
+      symbol_index.size() * sizeof(uint32_t), "phr/xi"));
 
   // --- L = xi(L(r)): substitute each triplet letter by its set of
   // (class1, symbol, class2) encodings (the homomorphism image of
@@ -281,8 +252,10 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
       strre::DeterminizeBounded(strre::ReverseNfa(out.language_), scope);
   if (!mirror.ok()) return mirror.status();
   out.mirror_ = std::move(mirror).value();
-
-  HEDGEQ_RETURN_IF_ERROR(out.FreezeRuntimeTables(scope));
+  // Seeded bug for the checker: N's start row comes out flipped.
+  if (!failpoint::Check("phr/mirror-flip-row").ok()) {
+    out.mirror_ = FlipStartRow(out.mirror_);
+  }
 
   if (PhrProductValidationHook hook = GetPhrProductValidationHook();
       hook != nullptr && witness != nullptr) {

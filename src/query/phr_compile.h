@@ -33,49 +33,6 @@ struct PhrWitness {
   std::vector<strre::Dfa> components;
 };
 
-/// Algorithm 1's runtime view of the compiled automata: the == DFA, the
-/// mirror automaton N and the symbol index as dense arrays, so that every
-/// step of PhrEvaluator::Locate is an array read instead of a hash probe.
-/// CompilePhr freezes these tables once, from the certified equiv() and
-/// mirror(), and charges them to the compile's budget as stage
-/// "phr/dense"; verify::CheckPhrProduct compares them with those automata
-/// entry by entry. The tables of == and N share one allocation.
-struct PhrRuntimeTables {
-  /// M's state count |Q|, the width of an equiv() row.
-  uint32_t width = 0;
-  /// The width of a mirror() row: the used letters plus the dead column.
-  uint32_t num_columns = 0;
-  /// equiv(), column(), mirror() and accepting(), in that order.
-  std::vector<uint32_t> cells;
-  size_t column_at = 0;
-  size_t mirror_at = 0;
-  size_t accepting_at = 0;
-  /// By SymbolId: the symbol's index in the triplet alphabet, or
-  /// CompiledPhr::kNoSymbol. Symbol ids past the end are in no triplet.
-  std::vector<uint32_t> symbol_index;
-
-  /// == as complete rows: equiv()[c * width + q] is the class reached from
-  /// class c on M-state q.
-  std::span<const strre::StateId> equiv() const {
-    return {cells.data(), column_at};
-  }
-  /// N over a compacted letter alphabet: column()[letter] (letters in
-  /// CompiledPhr::EncodeLetter order) picks the letter's column, and
-  /// mirror()[s * num_columns + column()[letter]] is
-  /// mirror().Next(s, letter). Every letter on no transition of N shares
-  /// column 0, which is all kNoState.
-  std::span<const uint32_t> column() const {
-    return {cells.data() + column_at, mirror_at - column_at};
-  }
-  std::span<const strre::StateId> mirror() const {
-    return {cells.data() + mirror_at, accepting_at - mirror_at};
-  }
-  /// By state of N: 1 when accepting, else 0.
-  std::span<const uint32_t> accepting() const {
-    return {cells.data() + accepting_at, cells.size() - accepting_at};
-  }
-};
-
 /// The Theorem 4 artifacts for a pointed hedge representation r:
 ///  - one deterministic hedge automaton M shared by every hedge regular
 ///    expression occurring in r's triplets (their union NHA, determinized),
@@ -87,11 +44,10 @@ struct PhrRuntimeTables {
 ///  - the regular set L over (Q*/==) x Sigma x (Q*/==) (letters encoded as
 ///    integers), and
 ///  - the deterministic string automaton N accepting the mirror image of L
-///    (run top-down during the second traversal of Algorithm 1), and
-///  - runtime(): equiv, mirror and the symbol index frozen into dense
-///    tables, which are all that PhrEvaluator::Locate reads.
-/// equiv() and mirror() stay the certified automata for the checker and
-/// for Theorem 5 (schema/match_identify).
+///    (run top-down during the second traversal of Algorithm 1).
+/// equiv() and mirror() are dense-row strre::Dfas, so PhrEvaluator::Locate
+/// steps them by array reads; the same automata serve the checker and
+/// Theorem 5 (schema/match_identify).
 class CompiledPhr {
  public:
   /// Dense index of a symbol within the triplet alphabet; kNoSymbol when a
@@ -104,9 +60,11 @@ class CompiledPhr {
   }
 
   uint32_t SymbolIndex(hedge::SymbolId s) const {
-    return s < runtime_.symbol_index.size() ? runtime_.symbol_index[s]
-                                            : kNoSymbol;
+    return s < symbol_index_.size() ? symbol_index_[s] : kNoSymbol;
   }
+  /// SymbolIndex as a dense array by SymbolId; ids past its end are in no
+  /// triplet.
+  std::span<const uint32_t> symbol_index() const { return symbol_index_; }
   hedge::SymbolId SymbolAt(uint32_t index) const { return symbols_[index]; }
 
   /// Encodes one letter of the triplet alphabet.
@@ -121,7 +79,6 @@ class CompiledPhr {
   const strre::Dfa& equiv() const { return equiv_; }
   const strre::Nfa& L() const { return language_; }
   const strre::Dfa& mirror() const { return mirror_; }
-  const PhrRuntimeTables& runtime() const { return runtime_; }
 
   /// Does equivalence class `cls` lie inside F_i1 (elder condition of
   /// triplet i)? Unconditional triplets accept every class.
@@ -137,20 +94,16 @@ class CompiledPhr {
   friend Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope&,
                                         PhrWitness*, std::string_view);
 
-  /// Fills runtime_'s equiv and mirror tables (the symbol index is built
-  /// with symbols_) and charges all of runtime_ to `scope`.
-  Status FreezeRuntimeTables(BudgetScope& scope);
-
   automata::Dha dha_{1, 1, 0, 0};
   std::vector<Bitset> subsets_;
   strre::Dfa equiv_;
   uint32_t num_classes_ = 0;
   std::vector<hedge::SymbolId> symbols_;
+  std::vector<uint32_t> symbol_index_;  // by SymbolId
   std::vector<std::vector<bool>> elder_ok_;
   std::vector<std::vector<bool>> younger_ok_;
   strre::Nfa language_;
   strre::Dfa mirror_;
-  PhrRuntimeTables runtime_;
 };
 
 /// Inline certification hook (HEDGEQ_CERTIFY): when installed, every

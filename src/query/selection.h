@@ -33,10 +33,12 @@ Result<SelectionQuery> ParseSelectionQuery(std::string_view text,
 /// document evaluates in O(nodes).
 ///
 /// Robustness: both exponential stages (determinizing the subhedge
-/// automaton, compiling the envelope) run under `budget`; on
-/// kResourceExhausted each independently degrades to its lazy engine
-/// (LazyDha marks / LazyPhrEvaluator), so Create fails only on genuinely
-/// bad input. fallback_used()/stats() report which engines are active.
+/// automaton, compiling the envelope) run under `budget`; on a degradable
+/// status (IsDegradable: kResourceExhausted or kDeadlineExceeded) each
+/// independently degrades to its lazy engine (LazyDha marks /
+/// LazyPhrEvaluator), so Create fails only on bad input or on a deadline
+/// that has truly passed. fallback_used()/stats() report which engines are
+/// active.
 class SelectionEvaluator {
  public:
   static Result<SelectionEvaluator> Create(const SelectionQuery& query,

@@ -78,22 +78,37 @@ std::vector<Symbol> Nfa::AlphabetInUse() const {
 
 StateId Dfa::AddState(bool accepting) {
   StateId id = static_cast<StateId>(accepting_.size());
-  transitions_.emplace_back();
-  accepting_.push_back(accepting);
+  cells_.resize(cells_.size() + stride_, kNoState);
+  accepting_.push_back(accepting ? 1 : 0);
   if (start_ == kNoState) start_ = id;
   return id;
 }
 
-void Dfa::SetTransition(StateId from, Symbol symbol, StateId to) {
-  HEDGEQ_CHECK(from < num_states() && to < num_states());
-  transitions_[from][symbol] = to;
+uint32_t Dfa::AddColumn(Symbol symbol) {
+  const uint32_t col = static_cast<uint32_t>(symbols_.size()) + 1;
+  if (col == stride_) {
+    const uint32_t stride = 2 * stride_;
+    std::vector<StateId> cells(num_states() * stride, kNoState);
+    for (size_t s = 0; s < num_states(); ++s) {
+      std::copy_n(cells_.begin() + s * stride_, stride_,
+                  cells.begin() + s * stride);
+    }
+    cells_ = std::move(cells);
+    stride_ = stride;
+  }
+  if (symbol >= column_.size()) column_.resize(size_t{symbol} + 1, 0);
+  column_[symbol] = col;
+  symbols_.insert(std::upper_bound(symbols_.begin(), symbols_.end(),
+                                   std::make_pair(symbol, col)),
+                  {symbol, col});
+  return col;
 }
 
-StateId Dfa::Next(StateId s, Symbol symbol) const {
-  if (s == kNoState) return kNoState;
-  const auto& map = transitions_[s];
-  auto it = map.find(symbol);
-  return it == map.end() ? kNoState : it->second;
+void Dfa::SetTransition(StateId from, Symbol symbol, StateId to) {
+  HEDGEQ_CHECK(from < num_states() && to < num_states());
+  uint32_t col = view().Column(symbol);
+  if (col == 0) col = AddColumn(symbol);
+  cells_[static_cast<size_t>(from) * stride_ + col] = to;
 }
 
 StateId Dfa::Run(std::span<const Symbol> word) const {
@@ -106,13 +121,16 @@ StateId Dfa::Run(std::span<const Symbol> word) const {
 }
 
 std::vector<Symbol> Dfa::AlphabetInUse() const {
+  // Every column has a live entry: SetTransition never writes kNoState.
   std::vector<Symbol> out;
-  for (const auto& ts : transitions_) {
-    for (const auto& [symbol, to] : ts) out.push_back(symbol);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.reserve(symbols_.size());
+  for (const auto& [symbol, col] : symbols_) out.push_back(symbol);
   return out;
+}
+
+size_t Dfa::TableBytes() const {
+  return cells_.size() * sizeof(StateId) + column_.size() * sizeof(uint32_t) +
+         symbols_.size() * sizeof(symbols_[0]) + accepting_.size();
 }
 
 }  // namespace hedgeq::strre

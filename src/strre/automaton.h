@@ -1,9 +1,10 @@
 #ifndef HEDGEQ_STRRE_AUTOMATON_H_
 #define HEDGEQ_STRRE_AUTOMATON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "strre/regex.h"
@@ -63,44 +64,148 @@ class Nfa {
   StateId start_ = kNoState;
 };
 
-/// Deterministic finite automaton over a generic alphabet. Transitions not
-/// present in the table implicitly lead to a dead rejecting sink; Next
-/// reports this as kNoState. Use ops.h/Complete to materialize the sink.
+/// Deterministic finite automaton over a generic alphabet, stored as dense
+/// rows over the symbols this automaton uses. A dense Symbol -> column
+/// array compacts the alphabet: row s holds the successor of state s in
+/// every column, and column 0 is the shared dead column, all kNoState, which
+/// every symbol on no transition (or past the end of the array) reads. So a
+/// missing transition leads to an implicit dead rejecting sink, which Next
+/// reports as kNoState. Use ops.h/Complete to materialize the sink.
 class Dfa {
  public:
+  /// The live transitions of one state, as (symbol, to) pairs in ascending
+  /// symbol order; dead entries are skipped.
+  class TransitionRow {
+   public:
+    class iterator {
+     public:
+      iterator(const std::pair<Symbol, uint32_t>* at,
+               const std::pair<Symbol, uint32_t>* end, const StateId* row)
+          : at_(at), end_(end), row_(row) {
+        SkipDead();
+      }
+      std::pair<Symbol, StateId> operator*() const {
+        return {at_->first, row_[at_->second]};
+      }
+      iterator& operator++() {
+        ++at_;
+        SkipDead();
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+     private:
+      void SkipDead() {
+        while (at_ != end_ && row_[at_->second] == kNoState) ++at_;
+      }
+
+      const std::pair<Symbol, uint32_t>* at_;
+      const std::pair<Symbol, uint32_t>* end_;
+      const StateId* row_;
+    };
+
+    TransitionRow(std::span<const std::pair<Symbol, uint32_t>> columns,
+                  const StateId* row)
+        : columns_(columns), row_(row) {}
+    iterator begin() const {
+      return {columns_.data(), columns_.data() + columns_.size(), row_};
+    }
+    iterator end() const {
+      const auto* end = columns_.data() + columns_.size();
+      return {end, end, row_};
+    }
+
+   private:
+    std::span<const std::pair<Symbol, uint32_t>> columns_;
+    const StateId* row_;
+  };
+
   Dfa() = default;
 
   StateId AddState(bool accepting = false);
   void SetStart(StateId s) { start_ = s; }
-  void SetAccepting(StateId s, bool accepting) { accepting_[s] = accepting; }
+  void SetAccepting(StateId s, bool accepting) {
+    accepting_[s] = accepting ? 1 : 0;
+  }
   void SetTransition(StateId from, Symbol symbol, StateId to);
 
   StateId start() const { return start_; }
   size_t num_states() const { return accepting_.size(); }
-  bool IsAccepting(StateId s) const { return accepting_[s]; }
+  bool IsAccepting(StateId s) const { return accepting_[s] != 0; }
+
+  /// The table as plain pointers and sizes, valid until the Dfa changes. A
+  /// hot loop keeps one in a local, where its own stores cannot force the
+  /// table's fields to be reloaded.
+  class View {
+   public:
+    /// The column `symbol` reads in every row: 0, the dead column, when no
+    /// transition is on `symbol`.
+    uint32_t Column(Symbol symbol) const {
+      return symbol < num_symbols_ ? column_[symbol] : 0;
+    }
+    /// State s's successors, indexed by Column.
+    const StateId* Row(StateId s) const {
+      return cells_ + static_cast<size_t>(s) * stride_;
+    }
+    StateId Next(StateId s, Symbol symbol) const {
+      return s == kNoState ? kNoState : Row(s)[Column(symbol)];
+    }
+    bool IsAccepting(StateId s) const { return accepting_[s] != 0; }
+
+   private:
+    friend class Dfa;
+    explicit View(const Dfa& dfa)
+        : cells_(dfa.cells_.data()),
+          column_(dfa.column_.data()),
+          accepting_(dfa.accepting_.data()),
+          num_symbols_(dfa.column_.size()),
+          stride_(dfa.stride_) {}
+
+    const StateId* cells_;
+    const uint32_t* column_;
+    const uint8_t* accepting_;
+    size_t num_symbols_;
+    uint32_t stride_;
+  };
+  View view() const { return View(*this); }
 
   /// Successor of `s` on `symbol`; kNoState when the transition is absent
   /// (implicit dead sink) or when s is kNoState itself.
-  StateId Next(StateId s, Symbol symbol) const;
+  StateId Next(StateId s, Symbol symbol) const {
+    return view().Next(s, symbol);
+  }
 
   /// State reached from the start on `word` (kNoState if the run dies).
   StateId Run(std::span<const Symbol> word) const;
 
   bool Accepts(std::span<const Symbol> word) const {
     StateId s = Run(word);
-    return s != kNoState && accepting_[s];
+    return s != kNoState && IsAccepting(s);
   }
 
-  const std::unordered_map<Symbol, StateId>& TransitionsFrom(StateId s) const {
-    return transitions_[s];
+  /// The live transitions from `s`, in ascending symbol order.
+  TransitionRow Transitions(StateId s) const {
+    return {symbols_, view().Row(s)};
   }
 
   /// All symbols appearing on any transition, deduplicated and sorted.
   std::vector<Symbol> AlphabetInUse() const;
 
+  /// Bytes held by the transition table: rows, column array, accepting
+  /// flags. Bounded constructions charge its growth to their budget.
+  size_t TableBytes() const;
+
  private:
-  std::vector<std::unordered_map<Symbol, StateId>> transitions_;
-  std::vector<bool> accepting_;
+  // Gives `symbol` the next free column, doubling the row stride when the
+  // rows are full.
+  uint32_t AddColumn(Symbol symbol);
+
+  std::vector<uint32_t> column_;  // by symbol; 0 = the dead column
+  // (symbol, column) for every live column, in ascending symbol order.
+  std::vector<std::pair<Symbol, uint32_t>> symbols_;
+  std::vector<StateId> cells_;  // row-major, stride_ cells per state
+  uint32_t stride_ = 1;         // column capacity of a row
+  std::vector<uint8_t> accepting_;
   StateId start_ = kNoState;
 };
 

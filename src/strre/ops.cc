@@ -99,6 +99,15 @@ Nfa CompileRegex(const Regex& e) {
   return nfa;
 }
 
+Status ChargeTableGrowth(const Dfa& dfa, size_t& charged, BudgetScope& scope,
+                         const char* stage) {
+  const size_t bytes = dfa.TableBytes();
+  if (bytes <= charged) return Status::Ok();
+  const size_t growth = bytes - charged;
+  charged = bytes;
+  return scope.ChargeBytes(growth, stage);
+}
+
 Dfa Determinize(const Nfa& nfa) {
   BudgetScope scope(ExecBudget::Unlimited());
   Result<Dfa> out = DeterminizeBounded(nfa, scope);
@@ -116,6 +125,7 @@ Result<Dfa> DeterminizeBounded(const Nfa& nfa, BudgetScope& scope) {
   std::deque<Bitset> worklist;
 
   Status charge_status;
+  size_t table_bytes = 0;
   auto intern = [&](Bitset subset) -> StateId {
     auto it = ids.find(subset);
     if (it != ids.end()) return it->second;
@@ -166,6 +176,10 @@ Result<Dfa> DeterminizeBounded(const Nfa& nfa, BudgetScope& scope) {
       StateId to = intern(std::move(target));
       dfa.SetTransition(from, symbol, to);
     }
+    if (charge_status.ok()) {
+      charge_status =
+          ChargeTableGrowth(dfa, table_bytes, scope, "strre/determinize");
+    }
   }
   if (!charge_status.ok()) return charge_status;
   return dfa;
@@ -191,7 +205,7 @@ Dfa Complete(const Dfa& dfa, std::span<const Symbol> alphabet) {
     return sink;
   };
   for (StateId s = 0; s < dfa.num_states(); ++s) {
-    for (const auto& [symbol, to] : dfa.TransitionsFrom(s)) {
+    for (const auto& [symbol, to] : dfa.Transitions(s)) {
       out.SetTransition(s, symbol, to);
     }
     for (Symbol a : alphabet) {
@@ -209,7 +223,7 @@ Dfa Complement(const Dfa& dfa, std::span<const Symbol> alphabet) {
   }
   out.SetStart(total.start());
   for (StateId s = 0; s < total.num_states(); ++s) {
-    for (const auto& [symbol, to] : total.TransitionsFrom(s)) {
+    for (const auto& [symbol, to] : total.Transitions(s)) {
       out.SetTransition(s, symbol, to);
     }
   }
@@ -227,7 +241,7 @@ Dfa Minimize(const Dfa& dfa, std::span<const Symbol> alphabet) {
   while (!queue.empty()) {
     StateId s = queue.front();
     queue.pop_front();
-    for (const auto& [symbol, to] : total.TransitionsFrom(s)) {
+    for (const auto& [symbol, to] : total.Transitions(s)) {
       if (!reachable[to]) {
         reachable[to] = true;
         queue.push_back(to);
@@ -362,12 +376,12 @@ Dfa Product(const Dfa& a, const Dfa& b, BoolOp op) {
     // Explore every symbol with a live successor on either side.
     std::vector<Symbol> symbols;
     if (sa != kNoState) {
-      for (const auto& [symbol, to] : a.TransitionsFrom(sa)) {
+      for (const auto& [symbol, to] : a.Transitions(sa)) {
         symbols.push_back(symbol);
       }
     }
     if (sb != kNoState) {
-      for (const auto& [symbol, to] : b.TransitionsFrom(sb)) {
+      for (const auto& [symbol, to] : b.Transitions(sb)) {
         symbols.push_back(symbol);
       }
     }
@@ -465,7 +479,7 @@ Nfa NfaFromDfa(const Dfa& d) {
   for (StateId s = 0; s < d.num_states(); ++s) out.AddState(d.IsAccepting(s));
   if (d.num_states() > 0) out.SetStart(d.start());
   for (StateId s = 0; s < d.num_states(); ++s) {
-    for (const auto& [symbol, to] : d.TransitionsFrom(s)) {
+    for (const auto& [symbol, to] : d.Transitions(s)) {
       out.AddTransition(s, symbol, to);
     }
   }
@@ -580,7 +594,7 @@ std::optional<std::vector<Symbol>> ShortestWitness(const Dfa& dfa) {
       found = s;
       break;
     }
-    for (const auto& [symbol, to] : dfa.TransitionsFrom(s)) {
+    for (const auto& [symbol, to] : dfa.Transitions(s)) {
       if (!seen[to]) {
         seen[to] = true;
         parent[to] = s;
@@ -686,6 +700,7 @@ Result<MultiDfa> ProductAllBounded(std::span<const Dfa> components,
   std::deque<std::vector<StateId>> worklist;
 
   Status charge_status;
+  size_t table_bytes = 0;
   auto intern = [&](std::vector<StateId> tuple) -> StateId {
     auto it = ids.find(tuple);
     if (it != ids.end()) return it->second;
@@ -729,6 +744,10 @@ Result<MultiDfa> ProductAllBounded(std::span<const Dfa> components,
       }
       StateId to = intern(std::move(next));
       out.dfa.SetTransition(from, a, to);
+    }
+    if (charge_status.ok()) {
+      charge_status =
+          ChargeTableGrowth(out.dfa, table_bytes, scope, "strre/product");
     }
   }
   if (!charge_status.ok()) return charge_status;

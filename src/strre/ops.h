@@ -25,6 +25,12 @@ Dfa Determinize(const Nfa& nfa);
 /// reached) when a cap trips.
 Result<Dfa> DeterminizeBounded(const Nfa& nfa, BudgetScope& scope);
 
+/// Charges the growth of `dfa`'s table (Dfa::TableBytes) since the last
+/// call against the scope's bytes under `stage`; `charged` carries what was
+/// charged so far. Bounded constructions call it as they add states.
+Status ChargeTableGrowth(const Dfa& dfa, size_t& charged, BudgetScope& scope,
+                         const char* stage);
+
 /// Makes the transition function total over `alphabet` by materializing an
 /// explicit rejecting sink (if any transition was missing).
 Dfa Complete(const Dfa& dfa, std::span<const Symbol> alphabet);

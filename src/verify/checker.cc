@@ -1593,6 +1593,19 @@ std::vector<Diagnostic> CheckPhrProduct(const phr::Phr& phr,
         return out;
       }
     }
+    // Locate reads the dense index for every node, so every entry must
+    // name its own triplet symbol.
+    const std::span<const uint32_t> symbol_index = compiled.symbol_index();
+    for (size_t id = 0; id < symbol_index.size(); ++id) {
+      const uint32_t k = symbol_index[id];
+      if (k != query::CompiledPhr::kNoSymbol &&
+          (k >= num_symbols || compiled.SymbolAt(k) != id)) {
+        Report(out, DiagnosticCode::kPhrProductIncoherent,
+               StrCat("symbols/", id),
+               "dense symbol index names the wrong triplet symbol");
+        return out;
+      }
+    }
   }
 
   // --- L = xi(L(r)): recompute the homomorphism image with our own letter
@@ -1713,87 +1726,6 @@ std::vector<Diagnostic> CheckPhrProduct(const phr::Phr& phr,
     }
   }
 
-  // --- Runtime tables: Algorithm 1 reads only these, so every entry must
-  // agree with the automata certified above.
-  {
-    const query::PhrRuntimeTables& rt = compiled.runtime();
-    const strre::Dfa& mirror = compiled.mirror();
-    const size_t num_mirror = mirror.num_states();
-    const size_t num_letters =
-        static_cast<size_t>(num_classes) * num_symbols * num_classes;
-    if (rt.width != num_dha || rt.column_at != num_classes * num_dha ||
-        rt.mirror_at < rt.column_at || rt.accepting_at < rt.mirror_at ||
-        rt.cells.size() < rt.accepting_at ||
-        rt.column().size() != num_letters || rt.num_columns == 0 ||
-        rt.mirror().size() != num_mirror * rt.num_columns ||
-        rt.accepting().size() != num_mirror) {
-      Report(out, DiagnosticCode::kCertificateMalformed, "runtime",
-             "runtime table sizes do not match the compiled automata");
-      return out;
-    }
-    for (uint32_t c = 0; c < num_classes; ++c) {
-      for (HState q = 0; q < num_dha; ++q) {
-        if (rt.equiv()[c * num_dha + q] !=
-            equiv.Next(c, static_cast<strre::Symbol>(q))) {
-          Report(out, DiagnosticCode::kPhrProductIncoherent,
-                 StrCat("runtime/equiv/", c, "/", q),
-                 "runtime equiv row disagrees with the class product");
-          return out;
-        }
-      }
-    }
-    auto entry = [&](size_t s, uint32_t column) {
-      return rt.mirror()[s * rt.num_columns + column];
-    };
-    for (size_t s = 0; s < num_mirror; ++s) {
-      if (entry(s, 0) != strre::kNoState) {
-        Report(out, DiagnosticCode::kPhrProductIncoherent,
-               StrCat("runtime/mirror/", s),
-               "the shared column of unused letters is not dead");
-        return out;
-      }
-      if ((rt.accepting()[s] != 0) != mirror.IsAccepting(s)) {
-        Report(out, DiagnosticCode::kPhrProductIncoherent,
-               StrCat("runtime/mirror/", s),
-               "runtime accepting flag disagrees with the mirror");
-        return out;
-      }
-    }
-    // A letter on no transition of N must read column 0, checked above to
-    // be dead; any other letter must read its own column of N.
-    std::vector<bool> used(num_letters, false);
-    for (size_t s = 0; s < num_mirror; ++s) {
-      for (const auto& [letter, to] :
-           mirror.TransitionsFrom(static_cast<strre::StateId>(s))) {
-        if (letter < num_letters) used[letter] = true;
-      }
-    }
-    for (size_t letter = 0; letter < num_letters; ++letter) {
-      const uint32_t column = rt.column()[letter];
-      bool ok = column < rt.num_columns && (used[letter] || column == 0);
-      for (size_t s = 0; ok && used[letter] && s < num_mirror; ++s) {
-        ok = entry(s, column) ==
-             mirror.Next(static_cast<strre::StateId>(s),
-                         static_cast<strre::Symbol>(letter));
-      }
-      if (!ok) {
-        Report(out, DiagnosticCode::kPhrProductIncoherent,
-               StrCat("runtime/mirror/letter/", letter),
-               "runtime mirror column disagrees with the mirror");
-        return out;
-      }
-    }
-    for (size_t id = 0; id < rt.symbol_index.size(); ++id) {
-      const uint32_t k = rt.symbol_index[id];
-      if (k != query::CompiledPhr::kNoSymbol &&
-          (k >= num_symbols || compiled.SymbolAt(k) != id)) {
-        Report(out, DiagnosticCode::kPhrProductIncoherent,
-               StrCat("runtime/symbols/", id),
-               "dense symbol index names the wrong triplet symbol");
-        return out;
-      }
-    }
-  }
   return out;
 }
 

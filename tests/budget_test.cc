@@ -162,9 +162,10 @@ TEST(DeadlineTest, DeadlineStatusIsDegradable) {
   EXPECT_FALSE(IsDegradable(StatusCode::kOk));
 }
 
-// The Theorem 4 compile charges its frozen runtime tables last, as stage
-// phr/dense: a byte cap one short of a full compile trips exactly there,
-// and PhrEvaluator degrades to the lazy engine with the same answers.
+// The Theorem 4 compile charges the dense rows of N last, as the mirror's
+// subset construction (stage strre/determinize) grows them: a byte cap one
+// short of a full compile trips exactly there, and PhrEvaluator degrades to
+// the lazy engine with the same answers.
 TEST(PhrDenseBudgetTest, TightByteCapTripsDenseTablesAndDegrades) {
   hedge::Vocabulary vocab;
   auto phr = phr::ParsePhr("[a*; b; a<%z>*^z] (a|b)*", vocab);
@@ -179,7 +180,7 @@ TEST(PhrDenseBudgetTest, TightByteCapTripsDenseTablesAndDegrades) {
   auto starved = query::CompilePhr(*phr, tight);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(Contains(starved.status(), "phr/dense"))
+  EXPECT_TRUE(Contains(starved.status(), "strre/determinize"))
       << starved.status().ToString();
 
   auto reference = query::PhrEvaluator::Create(*phr);

@@ -167,7 +167,7 @@ TEST_F(FailpointTest, PhrPipelinePropagatesEveryStage) {
   for (const char* name :
        {"phr/compile", "hre/compile", "determinize/alloc",
         "determinize/subset", "determinize/htrans", "determinize/lift",
-        "phr/product", "phr/mirror", "phr/dense"}) {
+        "phr/product", "phr/mirror"}) {
     failpoint::Arm(name);
     auto compiled = query::CompilePhr(phr, ExecBudget{});
     ASSERT_FALSE(compiled.ok()) << name;
@@ -191,7 +191,7 @@ TEST_F(FailpointTest, PhrEvaluatorFallsBackPerStage) {
   for (const char* name :
        {"phr/compile", "determinize/alloc", "determinize/subset",
         "determinize/htrans", "determinize/lift", "phr/product",
-        "phr/mirror", "phr/dense"}) {
+        "phr/mirror"}) {
     failpoint::Arm(name);
     auto evaluator = query::PhrEvaluator::Create(phr);
     ASSERT_TRUE(evaluator.ok())

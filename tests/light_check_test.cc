@@ -247,11 +247,11 @@ TEST_F(LightCheckTest, SeededDroppedProductRuleRejectedByBothModes) {
   ExpectBothModesReject(*cert, DiagnosticCode::kAlgebraWitnessRejected);
 }
 
-TEST_F(LightCheckTest, SeededDenseRowFlipCaughtRegardlessOfCheckMode) {
-  // Algorithm 1's runtime tables are rebuilt from the certified automata on
-  // every compile and never travel through a certificate or the cache, so
-  // the check mode cannot weaken their check: a flipped row of N is
-  // rejected under HQV011 by CheckPhrProduct whichever mode the cache uses.
+TEST_F(LightCheckTest, SeededMirrorRowFlipCaughtRegardlessOfCheckMode) {
+  // N is rebuilt on every compile and never travels through a certificate
+  // or the cache, so the check mode cannot weaken its check: a flipped row
+  // of N is rejected under HQV011 by CheckPhrProduct whichever mode the
+  // cache uses.
 #ifdef HEDGEQ_CERTIFY
   query::PhrProductValidationHook saved = query::GetPhrProductValidationHook();
   query::SetPhrProductValidationHook(nullptr);
@@ -260,7 +260,7 @@ TEST_F(LightCheckTest, SeededDenseRowFlipCaughtRegardlessOfCheckMode) {
   ASSERT_TRUE(phr.ok());
   BudgetScope scope{ExecBudget{}};
   query::PhrWitness witness;
-  failpoint::Arm("phr/dense-flip-row");
+  failpoint::Arm("phr/mirror-flip-row");
   auto compiled = query::CompilePhr(*phr, scope, &witness);
   failpoint::DisarmAll();
 #ifdef HEDGEQ_CERTIFY

@@ -304,11 +304,11 @@ TEST_F(LocateEquivalenceTest, LabelsOutsideTheTripletAlphabet) {
   ASSERT_TRUE(compiled.ok());
   const hedge::SymbolId early = *vocab_.symbols.Find("early");
   EXPECT_EQ(compiled->SymbolIndex(early), CompiledPhr::kNoSymbol);
-  EXPECT_LT(early, compiled->runtime().symbol_index.size());
+  EXPECT_LT(early, compiled->symbol_index().size());
   Hedge doc =
       Parse("a<late<b a> early<b a> $x b a<a>> late early<a> a<b a>");
   const hedge::SymbolId late = *vocab_.symbols.Find("late");
-  EXPECT_GE(late, compiled->runtime().symbol_index.size());
+  EXPECT_GE(late, compiled->symbol_index().size());
   EXPECT_EQ(compiled->SymbolIndex(late), CompiledPhr::kNoSymbol);
   EXPECT_GT(Count(ExpectAgrees(phr_text, doc)), 0u);
   ExpectAgrees("a (a|b)*", doc);

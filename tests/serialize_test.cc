@@ -5,6 +5,7 @@
 #include "hre/compile.h"
 #include "schema/schema.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "workload/generators.h"
 
 namespace hedgeq::automata {
@@ -133,7 +134,24 @@ TEST(SerializeTest, DhaRejectsMalformedInput) {
   // Transition target out of range in the lifted final DFA.
   EXPECT_FALSE(
       DeserializeDha("dha 1\nstates 1 0\nhstates 1 0\nfinal 1 0\n"
-                     "d 0 0 9\nend\n",
+                     "accept\nd 0 0 9\nend\n",
+                     vocab)
+          .ok());
+  // Final-DFA letters are M's states: one past them, and the largest u32,
+  // which would otherwise size the DFA's dense column array.
+  for (const char* letter : {"1", "4294967295"}) {
+    SCOPED_TRACE(letter);
+    Result<Dha> loaded = DeserializeDha(
+        StrCat("dha 1\nstates 1 0\nhstates 1 0\nfinal 1 0\naccept 0\nd 0 ",
+               letter, " 0\nend\n"),
+        vocab);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The same line with an in-range letter loads.
+  EXPECT_TRUE(
+      DeserializeDha("dha 1\nstates 1 0\nhstates 1 0\nfinal 1 0\n"
+                     "accept 0\nd 0 0 0\nend\n",
                      vocab)
           .ok());
   // Accepting state out of range.

@@ -2,6 +2,10 @@
 // regexes, exhaustive short-word comparison, and boolean-operation laws.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "strre/ops.h"
 #include "util/rng.h"
 
@@ -9,41 +13,48 @@ namespace hedgeq::strre {
 namespace {
 
 const std::vector<Symbol> kAlphabet = {0, 1};
+// Two symbols far apart, so a DFA's dense column array is mostly the dead
+// column.
+const std::vector<Symbol> kWideAlphabet = {5, 70000};
 
-Regex RandomRegex(Rng& rng, int depth) {
+Regex RandomRegex(Rng& rng, int depth,
+                  const std::vector<Symbol>& alphabet = kAlphabet) {
   if (depth <= 0 || rng.Chance(0.3)) {
     switch (rng.Below(4)) {
       case 0:
-        return Sym(0);
+        return Sym(alphabet[0]);
       case 1:
-        return Sym(1);
+        return Sym(alphabet[1]);
       case 2:
         return Epsilon();
       default:
-        return rng.Chance(0.2) ? EmptySet() : Sym(rng.Below(2));
+        return rng.Chance(0.2) ? EmptySet() : Sym(alphabet[rng.Below(2)]);
     }
   }
   switch (rng.Below(5)) {
     case 0:
-      return Concat(RandomRegex(rng, depth - 1), RandomRegex(rng, depth - 1));
+      return Concat(RandomRegex(rng, depth - 1, alphabet),
+                    RandomRegex(rng, depth - 1, alphabet));
     case 1:
-      return Alt(RandomRegex(rng, depth - 1), RandomRegex(rng, depth - 1));
+      return Alt(RandomRegex(rng, depth - 1, alphabet),
+                 RandomRegex(rng, depth - 1, alphabet));
     case 2:
-      return Star(RandomRegex(rng, depth - 1));
+      return Star(RandomRegex(rng, depth - 1, alphabet));
     case 3:
-      return Plus(RandomRegex(rng, depth - 1));
+      return Plus(RandomRegex(rng, depth - 1, alphabet));
     default:
-      return Optional(RandomRegex(rng, depth - 1));
+      return Optional(RandomRegex(rng, depth - 1, alphabet));
   }
 }
 
-std::vector<std::vector<Symbol>> AllWords(size_t max_len) {
+std::vector<std::vector<Symbol>> AllWords(
+    size_t max_len, const std::vector<Symbol>& alphabet = kAlphabet) {
   std::vector<std::vector<Symbol>> out = {{}};
   std::vector<std::vector<Symbol>> frontier = {{}};
   for (size_t len = 1; len <= max_len; ++len) {
     std::vector<std::vector<Symbol>> next;
     for (const auto& w : frontier) {
-      for (Symbol s : kAlphabet) {
+      for (Symbol s : alphabet) {
         auto w2 = w;
         w2.push_back(s);
         next.push_back(w2);
@@ -56,27 +67,84 @@ std::vector<std::vector<Symbol>> AllWords(size_t max_len) {
 }
 
 TEST(StrreRandomTest, PipelineAgreesOnRandomRegexes) {
-  Rng rng(314159);
-  const std::vector<std::vector<Symbol>> words = AllWords(6);
-  for (int trial = 0; trial < 60; ++trial) {
-    Regex e = RandomRegex(rng, 4);
-    Nfa nfa = CompileRegex(e);
-    Dfa dfa = Determinize(nfa);
-    Dfa min = Minimize(dfa, kAlphabet);
-    Dfa comp = Complement(min, kAlphabet);
-    Regex simplified = SimplifyRegex(e);
-    Nfa simp_nfa = CompileRegex(simplified);
-    Regex back = NfaToRegex(nfa);
-    Nfa back_nfa = CompileRegex(back);
-    for (const auto& w : words) {
-      bool expected = nfa.Accepts(w);
-      ASSERT_EQ(dfa.Accepts(w), expected) << trial;
-      ASSERT_EQ(min.Accepts(w), expected) << trial;
-      ASSERT_NE(comp.Accepts(w), expected) << trial;
-      ASSERT_EQ(simp_nfa.Accepts(w), expected)
-          << trial << " simplify changed the language";
-      ASSERT_EQ(back_nfa.Accepts(w), expected)
-          << trial << " NfaToRegex changed the language";
+  for (const std::vector<Symbol>& alphabet : {kAlphabet, kWideAlphabet}) {
+    SCOPED_TRACE(alphabet[1]);
+    Rng rng(314159);
+    const std::vector<std::vector<Symbol>> words = AllWords(6, alphabet);
+    for (int trial = 0; trial < 60; ++trial) {
+      Regex e = RandomRegex(rng, 4, alphabet);
+      Nfa nfa = CompileRegex(e);
+      Dfa dfa = Determinize(nfa);
+      Dfa min = Minimize(dfa, alphabet);
+      Dfa comp = Complement(min, alphabet);
+      Regex simplified = SimplifyRegex(e);
+      Nfa simp_nfa = CompileRegex(simplified);
+      Regex back = NfaToRegex(nfa);
+      Nfa back_nfa = CompileRegex(back);
+      for (const auto& w : words) {
+        bool expected = nfa.Accepts(w);
+        ASSERT_EQ(dfa.Accepts(w), expected) << trial;
+        ASSERT_EQ(min.Accepts(w), expected) << trial;
+        ASSERT_NE(comp.Accepts(w), expected) << trial;
+        ASSERT_EQ(simp_nfa.Accepts(w), expected)
+            << trial << " simplify changed the language";
+        ASSERT_EQ(back_nfa.Accepts(w), expected)
+            << trial << " NfaToRegex changed the language";
+      }
+    }
+  }
+}
+
+TEST(StrreRandomTest, SparseDfaMatchesMapReference) {
+  // Random transitions over widely spaced symbols, set in random order with
+  // overwrites, against a std::map holding the same function.
+  const std::vector<Symbol> symbols = {0, 1, 63, 64, 1000, 65536, 1u << 20};
+  Rng rng(8086);
+  for (int trial = 0; trial < 40; ++trial) {
+    StateId n = 1 + static_cast<StateId>(rng.Below(12));
+    Dfa dfa;
+    std::map<std::pair<StateId, Symbol>, StateId> reference;
+    for (StateId s = 0; s < n; ++s) dfa.AddState(rng.Chance(0.3));
+    const int edges = static_cast<int>(rng.Below(3 * n + 1));
+    for (int e = 0; e < edges; ++e) {
+      const StateId from = static_cast<StateId>(rng.Below(n));
+      const Symbol a = symbols[rng.Below(symbols.size())];
+      const StateId to = static_cast<StateId>(rng.Below(n));
+      dfa.SetTransition(from, a, to);
+      reference[{from, a}] = to;
+      if (rng.Chance(0.1)) n = dfa.AddState(false) + 1;  // regrows rows
+    }
+    const Dfa copy = dfa;
+    for (const Dfa* d : {&std::as_const(dfa), &copy}) {
+      std::set<Symbol> used;
+      for (StateId s = 0; s < d->num_states(); ++s) {
+        std::vector<std::pair<Symbol, StateId>> want;
+        for (auto it = reference.lower_bound({s, 0});
+             it != reference.end() && it->first.first == s; ++it) {
+          want.push_back({it->first.second, it->second});
+          used.insert(it->first.second);
+        }
+        std::vector<std::pair<Symbol, StateId>> got;
+        for (const auto& [a, to] : d->Transitions(s)) got.push_back({a, to});
+        ASSERT_EQ(got, want) << trial << " state " << s;
+        for (Symbol a : symbols) {
+          for (Symbol probe : {a, a + 1}) {
+            auto it = reference.find({s, probe});
+            ASSERT_EQ(d->Next(s, probe),
+                      it == reference.end() ? kNoState : it->second)
+                << trial << " state " << s << " symbol " << probe;
+          }
+        }
+      }
+      ASSERT_EQ(d->AlphabetInUse(),
+                std::vector<Symbol>(used.begin(), used.end()));
+      // The NFA view and minimization keep the language.
+      Nfa nfa = NfaFromDfa(*d);
+      Dfa min = Minimize(*d, symbols);
+      for (const auto& w : AllWords(3, {0, 64, 1u << 20})) {
+        ASSERT_EQ(nfa.Accepts(w), d->Accepts(w)) << trial;
+        ASSERT_EQ(min.Accepts(w), d->Accepts(w)) << trial;
+      }
     }
   }
 }

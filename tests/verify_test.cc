@@ -755,10 +755,10 @@ TEST_F(VerifyTest, TamperedPhrProductWitnessRejected) {
   EXPECT_FALSE(diagnostics.empty());
 }
 
-TEST_F(VerifyTest, SeededDenseRowFlipRejected) {
-  // The frozen runtime tables are what Locate reads: a row of N that
-  // disagrees with the certified mirror must be rejected even though every
-  // certified automaton is intact.
+TEST_F(VerifyTest, SeededMirrorRowFlipRejected) {
+  // N is what Locate steps: a start row flipped between dead and live
+  // entries must make N disagree with the reversed-subset simulation of L,
+  // even though every other compiled automaton is intact.
 #ifdef HEDGEQ_CERTIFY
   query::PhrProductValidationHook saved = query::GetPhrProductValidationHook();
   query::SetPhrProductValidationHook(nullptr);
@@ -770,7 +770,7 @@ TEST_F(VerifyTest, SeededDenseRowFlipRejected) {
     ASSERT_TRUE(phr.ok());
     BudgetScope scope{ExecBudget{}};
     query::PhrWitness witness;
-    failpoint::Arm("phr/dense-flip-row");
+    failpoint::Arm("phr/mirror-flip-row");
     auto compiled = query::CompilePhr(*phr, scope, &witness);
     failpoint::DisarmAll();
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();

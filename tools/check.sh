@@ -119,6 +119,15 @@ grep -q 'HQV013' "${SEED_TMP}/sel.out" \
   || { echo "FAIL: selection disagreement not reported as HQV013"; exit 1; }
 grep -q 'shrunk from' "${SEED_TMP}/sel.out" \
   || { echo "FAIL: selection counterexample was not shrunk"; exit 1; }
+# A mirror automaton N whose start row is flipped between dead and live:
+# CheckPhrProduct's reversed-subset walk of L must disagree with it (HQV011).
+if "${VERIFY}" --failpoint=phr/mirror-flip-row \
+     query 'select(*; figure (section|article)*)' \
+     > "${SEED_TMP}/mirror.out" 2>/dev/null; then
+  echo "FAIL: flipped mirror row went uncaught"; exit 1
+fi
+grep -q 'HQV011' "${SEED_TMP}/mirror.out" \
+  || { echo "FAIL: flipped mirror row not reported as HQV011"; exit 1; }
 # A Lemma 2 extraction that silently drops a union alternative: the
 # recurrence replay in CheckFromNha must notice the missing combination
 # (HQV014), not trust the emitted expression.

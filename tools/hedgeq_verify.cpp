@@ -189,6 +189,10 @@ int CmdOracle(const std::string& text, const std::vector<std::string>& rest,
 }
 
 int CmdQuery(const std::string& text, bool json) {
+  // The independent checkers run explicitly below; suppress the inline
+  // hook so a seeded bug (--failpoint) surfaces as a reported finding
+  // instead of failing the compile (HEDGEQ_CERTIFY builds).
+  query::SetPhrProductValidationHook(nullptr);
   hedge::Vocabulary vocab;
   auto query = query::ParseSelectionQuery(text, vocab);
   if (!query.ok()) return Fail(query.status().ToString());
