@@ -45,17 +45,9 @@ DeterminizeCache* GetDeterminizeCache() {
   return g_determinize_cache.load(std::memory_order_acquire);
 }
 
-Result<Determinized> Determinize(const Nha& nha, const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return Determinize(nha, scope);
-}
-
-Result<Determinized> Determinize(const Nha& nha, BudgetScope& scope) {
-  return Determinize(nha, scope, nullptr);
-}
-
-Result<Determinized> Determinize(const Nha& nha, BudgetScope& scope,
+Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
                                  DeterminizeWitness* witness) {
+  BudgetScope& scope = budget.scope();
   HEDGEQ_FAILPOINT("determinize/alloc");
   DeterminizeCache* cache = GetDeterminizeCache();
   if (cache != nullptr) {
@@ -317,12 +309,6 @@ Result<Determinized> Determinize(const Nha& nha, BudgetScope& scope,
     span.AddArg("certify_ns", certify_ns);
   }
   return out;
-}
-
-Result<strre::Dfa> LiftToSubsetsBounded(const Nfa& lang,
-                                        std::span<const Bitset> subsets,
-                                        BudgetScope& scope) {
-  return LiftToSubsetsBounded(lang, subsets, scope, nullptr);
 }
 
 Result<strre::Dfa> LiftToSubsetsBounded(const Nfa& lang,

@@ -3,7 +3,6 @@
 
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "automata/dha.h"
@@ -75,26 +74,6 @@ class DeterminizeCache {
   /// Offers a freshly constructed result for persistence.
   virtual void Store(const Nha& input, const Determinized& out,
                      const DeterminizeWitness& witness) = 0;
-
-  /// Scoped variants used by pipelines that can key an entry by something
-  /// cheaper to render than the embedded automaton (e.g. the source PHR
-  /// text + vocabulary in query/phr_compile). `key_material` is an opaque
-  /// caller-stable byte string; `input` is still passed so implementations
-  /// can keep their validation ladder (hedgeq's cache byte-compares the
-  /// stored input automaton regardless of how the entry was keyed).
-  /// Defaults fall back to the input-keyed entry points, which is always
-  /// correct, merely unscoped.
-  virtual bool LookupScoped(std::string_view key_material, const Nha& input,
-                            Determinized* out, DeterminizeWitness* witness) {
-    (void)key_material;
-    return Lookup(input, out, witness);
-  }
-  virtual void StoreScoped(std::string_view key_material, const Nha& input,
-                           const Determinized& out,
-                           const DeterminizeWitness& witness) {
-    (void)key_material;
-    Store(input, out, witness);
-  }
 };
 
 /// Installs `cache` (not owned, null to uninstall) for every subsequent
@@ -108,37 +87,28 @@ DeterminizeCache* GetDeterminizeCache();
 /// deterministic hedge automaton with L(dha) = L(nha). Determinization is
 /// worst-case exponential (the paper conjectures it is "usually efficient";
 /// experiment E3 measures both sides), so the construction charges every
-/// interned subset, horizontal state and transition against the budget and
-/// fails with kResourceExhausted — reporting the count reached — when a cap
-/// is hit. Callers that must not fail fall back to automata/lazy_dha.h.
-Result<Determinized> Determinize(const Nha& nha, const ExecBudget& budget = {});
-
-/// As above, but charging an existing scope so several pipeline stages share
-/// one cumulative budget (e.g. the Theorem 4 compile in query/phr_compile).
-Result<Determinized> Determinize(const Nha& nha, BudgetScope& scope);
-
-/// As above, additionally recording the certificate witness into `witness`
-/// (ignored when null). Recording is cheap — the sets already exist inside
-/// the construction; they are moved out instead of discarded.
-Result<Determinized> Determinize(const Nha& nha, BudgetScope& scope,
-                                 DeterminizeWitness* witness);
+/// interned subset, horizontal state and transition against `budget` —
+/// the caller's scope, so several pipeline stages share one cumulative
+/// budget (e.g. the Theorem 4 compile in query/phr_compile), or a fresh one
+/// — and fails with kResourceExhausted, reporting the count reached, when
+/// a cap is hit. Callers that must not fail fall back to
+/// automata/lazy_dha.h. When `witness` is non-null the certificate witness
+/// is recorded into it; recording is cheap, since the sets already exist
+/// inside the construction and are moved out instead of discarded.
+Result<Determinized> Determinize(const Nha& nha, BudgetArg budget = {},
+                                 DeterminizeWitness* witness = nullptr);
 
 /// Lifts a regular language over NHA states (an NFA with letters in Q_nha)
 /// to a complete DFA over DHA states (letters are subset ids): the lifted
 /// DFA accepts a word S1...Sk of subsets iff some q1 in S1, ..., qk in Sk
 /// with q1...qk in L(lang). This is how final languages and the Theorem 4
 /// per-triplet languages F_i1/F_i2 ride on one shared determinization.
-/// The bounded form charges the DFA subset construction against `scope`.
-Result<strre::Dfa> LiftToSubsetsBounded(const strre::Nfa& lang,
-                                        std::span<const Bitset> subsets,
-                                        BudgetScope& scope);
-
-/// As above, also reporting the set of `lang` NFA states each lifted DFA
-/// state denotes (the final-set witness; ignored when null).
-Result<strre::Dfa> LiftToSubsetsBounded(const strre::Nfa& lang,
-                                        std::span<const Bitset> subsets,
-                                        BudgetScope& scope,
-                                        std::vector<Bitset>* state_sets);
+/// The bounded form charges the DFA subset construction against `scope`
+/// and, when `state_sets` is non-null, reports the set of `lang` NFA
+/// states each lifted DFA state denotes (the final-set witness).
+Result<strre::Dfa> LiftToSubsetsBounded(
+    const strre::Nfa& lang, std::span<const Bitset> subsets,
+    BudgetScope& scope, std::vector<Bitset>* state_sets = nullptr);
 
 /// Unbounded convenience wrapper (cannot fail).
 strre::Dfa LiftToSubsets(const strre::Nfa& lang,

@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/budget.h"
 #include "util/strings.h"
 
 namespace hedgeq::automata {
@@ -291,6 +292,7 @@ std::string SerializeDha(const Dha& dha, const hedge::Vocabulary& vocab) {
 }
 
 Result<Dha> DeserializeDha(std::string_view text, hedge::Vocabulary& vocab) {
+  const size_t kMaxTableBytes = ExecBudget{}.max_memory_bytes;
   LineReader reader(text);
   Result<std::vector<std::string>> magic = reader.Next();
   if (!magic.ok()) return magic.status();
@@ -320,6 +322,14 @@ Result<Dha> DeserializeDha(std::string_view text, hedge::Vocabulary& vocab) {
   if (!h_start.ok()) return h_start.status();
   if (*num_h == 0 || *h_start >= *num_h) {
     return Status::InvalidArgument("dha horizontal start out of range");
+  }
+  // The header sizes tables allocated before any line is read, so a
+  // corrupt count could ask for many GiB: refuse tables past the default
+  // memory budget.
+  if (*num_h > kMaxTableBytes / sizeof(HhState) / *num_states) {
+    return Status::InvalidArgument(
+        StrCat("dha horizontal table of ", *num_h, " x ", *num_states,
+               " entries exceeds ", kMaxTableBytes, " bytes"));
   }
 
   Dha dha(*num_states, *num_h, *h_start, *sink);
@@ -375,6 +385,12 @@ Result<Dha> DeserializeDha(std::string_view text, hedge::Vocabulary& vocab) {
       }
       Result<uint32_t> count = ParseU32((*fields)[1]);
       if (!count.ok()) return count.status();
+      // A row costs at least one cell and one accepting flag.
+      if (*count > kMaxTableBytes / (sizeof(strre::StateId) + 1)) {
+        return Status::InvalidArgument(
+            StrCat("final dfa of ", *count, " states exceeds ",
+                   kMaxTableBytes, " bytes"));
+      }
       strre::Dfa final;
       for (uint32_t s = 0; s < *count; ++s) final.AddState(false);
       if ((*fields)[2] != "-") {

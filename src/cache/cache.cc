@@ -36,11 +36,6 @@ namespace {
 constexpr int kFormatVersion = 2;
 constexpr const char* kMagic = "hqcache";
 constexpr const char* kKind = "determinize";
-// Key kind of scoped entries (keyed by caller-supplied PHR source text
-// instead of the serialized input automaton). Distinct from kKind so a
-// scoped key can never collide with an input key for a different
-// automaton; the entry payload and header kind are identical.
-constexpr const char* kScopedKind = "phr";
 
 bool ReadFileToString(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
@@ -50,6 +45,12 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   if (!in.good() && !in.eof()) return false;
   *out = buf.str();
   return true;
+}
+
+// Content key of an input automaton from its canonical serialized text.
+std::string KeyOfSerialized(std::string_view serialized_input) {
+  return Digest128(StrCat(kMagic, " ", kFormatVersion, " ", kKind, "\n",
+                          serialized_input));
 }
 
 }  // namespace
@@ -68,25 +69,11 @@ Result<std::unique_ptr<AutomatonCache>> AutomatonCache::Open(std::string dir) {
 }
 
 std::string AutomatonCache::KeyFor(const automata::Nha& input) const {
-  std::string canonical =
-      StrCat(kMagic, " ", kFormatVersion, " ", kKind, "\n",
-             automata::SerializeNha(input, *vocab_));
-  return Digest128(canonical);
-}
-
-std::string AutomatonCache::ScopedKeyFor(std::string_view key_material) const {
-  std::string canonical =
-      StrCat(kMagic, " ", kFormatVersion, " ", kScopedKind, "\n", key_material);
-  return Digest128(canonical);
+  return KeyOfSerialized(automata::SerializeNha(input, *vocab_));
 }
 
 std::string AutomatonCache::EntryPathFor(const automata::Nha& input) const {
   return (fs::path(dir_) / (KeyFor(input) + ".cert")).string();
-}
-
-std::string AutomatonCache::ScopedEntryPathFor(
-    std::string_view key_material) const {
-  return (fs::path(dir_) / (ScopedKeyFor(key_material) + ".cert")).string();
 }
 
 void AutomatonCache::Quarantine(const std::string& entry_path,
@@ -120,24 +107,11 @@ bool AutomatonCache::Lookup(const automata::Nha& input,
                             automata::Determinized* out,
                             automata::DeterminizeWitness* witness) {
   if (vocab_ == nullptr) return false;
-  return LookupAt(KeyFor(input), input, out, witness);
-}
-
-bool AutomatonCache::LookupScoped(std::string_view key_material,
-                                  const automata::Nha& input,
-                                  automata::Determinized* out,
-                                  automata::DeterminizeWitness* witness) {
-  if (vocab_ == nullptr) return false;
-  return LookupAt(ScopedKeyFor(key_material), input, out, witness);
-}
-
-bool AutomatonCache::LookupAt(const std::string& key,
-                              const automata::Nha& input,
-                              automata::Determinized* out,
-                              automata::DeterminizeWitness* witness) {
   HEDGEQ_OBS_SPAN(span, obs::spans::kCacheLoad);
   last_reject_.clear();
+  // One serialization serves both the key and the input byte-compare.
   const std::string expected_input = automata::SerializeNha(input, *vocab_);
+  const std::string key = KeyOfSerialized(expected_input);
   const std::string path = (fs::path(dir_) / (key + ".cert")).string();
 
   auto miss = [&]() {
@@ -235,21 +209,7 @@ void AutomatonCache::Store(const automata::Nha& input,
                            const automata::Determinized& out,
                            const automata::DeterminizeWitness& witness) {
   if (vocab_ == nullptr) return;
-  StoreAt(KeyFor(input), input, out, witness);
-}
-
-void AutomatonCache::StoreScoped(std::string_view key_material,
-                                 const automata::Nha& input,
-                                 const automata::Determinized& out,
-                                 const automata::DeterminizeWitness& witness) {
-  if (vocab_ == nullptr) return;
-  StoreAt(ScopedKeyFor(key_material), input, out, witness);
-}
-
-void AutomatonCache::StoreAt(const std::string& key,
-                             const automata::Nha& input,
-                             const automata::Determinized& out,
-                             const automata::DeterminizeWitness& witness) {
+  const std::string key = KeyFor(input);
   HEDGEQ_OBS_SPAN(span, obs::spans::kCacheStoreSpan);
   auto store_error = [&]() {
     ++stats_.store_errors;

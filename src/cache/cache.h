@@ -101,34 +101,14 @@ class AutomatonCache final : public automata::DeterminizeCache {
   void Store(const automata::Nha& input, const automata::Determinized& out,
              const automata::DeterminizeWitness& witness) override;
 
-  /// Scoped entry points (automata::DeterminizeCache): key the entry by an
-  /// opaque caller byte string — query/phr_compile passes the source PHR
-  /// text rendered against the vocabulary — instead of the serialized
-  /// input automaton, so a whole Theorem 4 pipeline can hit without first
-  /// rebuilding its subhedge NHA's canonical form. The validation ladder
-  /// is unchanged: the stored input automaton is still byte-compared and
-  /// the certificate still re-checked before a hit is served.
-  bool LookupScoped(std::string_view key_material,
-                    const automata::Nha& input, automata::Determinized* out,
-                    automata::DeterminizeWitness* witness) override;
-  void StoreScoped(std::string_view key_material, const automata::Nha& input,
-                   const automata::Determinized& out,
-                   const automata::DeterminizeWitness& witness) override;
-
   /// Content key of `input` under the bound vocabulary: a 128-bit hex
   /// digest of the canonical serialized automaton plus the entry-format
   /// version, so a format bump invalidates old entries by construction.
   std::string KeyFor(const automata::Nha& input) const;
 
-  /// Content key of a scoped entry (same versioning, "phr" key kind).
-  std::string ScopedKeyFor(std::string_view key_material) const;
-
   /// Where the entry for `input` lives ("<dir>/<key>.cert"); the file may
   /// not exist. Exposed for tests and the check.sh tamper gate.
   std::string EntryPathFor(const automata::Nha& input) const;
-
-  /// Where the scoped entry for `key_material` lives; may not exist.
-  std::string ScopedEntryPathFor(std::string_view key_material) const;
 
   /// Selects how Lookup revalidates entries (default CheckMode::kLight);
   /// `hedgeq_verify --check=full` and the E16 benchmark flip this.
@@ -158,16 +138,6 @@ class AutomatonCache final : public automata::DeterminizeCache {
 
  private:
   explicit AutomatonCache(std::string dir) : dir_(std::move(dir)) {}
-
-  /// Shared bodies of the input-keyed and scoped entry points: the key
-  /// decides the file name, everything else — the validation ladder, the
-  /// temp-file + rename publish — is identical.
-  bool LookupAt(const std::string& key, const automata::Nha& input,
-                automata::Determinized* out,
-                automata::DeterminizeWitness* witness);
-  void StoreAt(const std::string& key, const automata::Nha& input,
-               const automata::Determinized& out,
-               const automata::DeterminizeWitness& witness);
 
   /// Moves a bad entry to corrupt/ (unique name), writes a sidecar
   /// `.reason` file with `reason`, and counts the quarantine.

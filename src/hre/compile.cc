@@ -323,15 +323,10 @@ Nha CompileHre(const Hre& e) {
   return std::move(out).value();
 }
 
-Result<Nha> CompileHre(const Hre& e, BudgetScope& scope) {
-  return CompileHre(e, scope, nullptr);
-}
-
-Result<Nha> CompileHre(const Hre& e, BudgetScope& scope,
-                       CompileTrace* trace) {
+Result<Nha> CompileHre(const Hre& e, BudgetArg budget, CompileTrace* trace) {
   HEDGEQ_FAILPOINT("hre/compile");
   HEDGEQ_OBS_SPAN(span, obs::spans::kHreCompile);
-  Compiler compiler(scope, trace);
+  Compiler compiler(budget.scope(), trace);
   Result<Nha> out = compiler.Compile(e);
   if (out.ok() && obs::Enabled()) {
     const size_t ast_nodes = HreSize(e);

@@ -13,14 +13,11 @@ namespace hedgeq::hre {
 /// states z-bar introduced for substitution symbols appear in iota (as
 /// substitution-state entries) and inside content models, never in final
 /// state sequences. Linear in the size of the expression — except for the
-/// splice copies of cases 9/10, which the budgeted overload charges against
-/// the scope (along with AST recursion depth), returning kResourceExhausted
-/// instead of overrunning on adversarial expressions.
+/// splice copies of cases 9/10, which the budgeted form below charges
+/// against its budget (along with AST recursion depth), returning
+/// kResourceExhausted instead of overrunning on adversarial expressions.
+/// This form has no budget and cannot fail.
 automata::Nha CompileHre(const Hre& e);
-
-/// Budget-aware form for pipelines that share one cumulative BudgetScope
-/// (query::CompilePhr, query::SelectionEvaluator::Create).
-Result<automata::Nha> CompileHre(const Hre& e, BudgetScope& scope);
 
 /// One compiled subexpression in post-order: the accumulator-Nha state and
 /// rule counts observed on entry and on exit of its Lemma 1 case. The
@@ -44,10 +41,12 @@ struct CompileTrace {
   size_t total_rules = 0;
 };
 
-/// As the budgeted overload, additionally recording the compile certificate
-/// into `trace` (ignored when null).
-Result<automata::Nha> CompileHre(const Hre& e, BudgetScope& scope,
-                                 CompileTrace* trace);
+/// Budget-aware form: charges `budget` — the caller's scope when the
+/// compile is one stage of a pipeline (query::CompilePhr,
+/// query::SelectionEvaluator::Create), or a fresh one — and records the
+/// compile certificate into `trace` when it is non-null.
+Result<automata::Nha> CompileHre(const Hre& e, BudgetArg budget,
+                                 CompileTrace* trace = nullptr);
 
 }  // namespace hedgeq::hre
 

@@ -229,10 +229,6 @@ FromNhaValidationHook GetFromNhaValidationHook() {
   return g_from_nha_hook.load(std::memory_order_relaxed);
 }
 
-Result<Hre> NhaToHre(const Nha& nha, hedge::Vocabulary& vocab) {
-  return NhaToHre(nha, vocab, nullptr);
-}
-
 Result<Hre> NhaToHre(const Nha& nha, hedge::Vocabulary& vocab,
                      FromNhaWitness* witness) {
   FromNhaValidationHook hook = GetFromNhaValidationHook();

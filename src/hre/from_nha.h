@@ -28,7 +28,7 @@ struct FromNhaWitness {
     Hre expr;
   };
   std::vector<Entry> entries;
-  /// The expression NhaToHre returned (== the overload's result).
+  /// The expression NhaToHre returned.
   Hre result;
 };
 
@@ -48,13 +48,10 @@ struct FromNhaWitness {
 /// automaton size (the price of expression-ness); a cap of 62 split states
 /// is enforced (kResourceExhausted beyond, kInvalidArgument for automata
 /// with substitution-symbol states, whose languages need bare-z hedges that
-/// expressions cannot denote).
-Result<Hre> NhaToHre(const automata::Nha& nha, hedge::Vocabulary& vocab);
-
-/// As above, additionally filling `witness` (ignored when null) with the
-/// recurrence intermediates for translation validation.
+/// expressions cannot denote). When `witness` is non-null it is filled with
+/// the recurrence intermediates for translation validation.
 Result<Hre> NhaToHre(const automata::Nha& nha, hedge::Vocabulary& vocab,
-                     FromNhaWitness* witness);
+                     FromNhaWitness* witness = nullptr);
 
 /// Structural translation of a string regex into an HRE via a leaf mapping
 /// (exposed for reuse and tests).

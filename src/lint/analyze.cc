@@ -288,8 +288,7 @@ bool LintHre(const hre::Hre& e, const hedge::Vocabulary& vocab,
   // Cost heuristics need the compiled automaton; skip them when the probe
   // budget cannot even afford compilation (the expression is then itself
   // evidence of blowup, but guessing would be noise).
-  BudgetScope scope(options.probe_budget);
-  Result<Nha> nha = hre::CompileHre(e, scope);
+  Result<Nha> nha = hre::CompileHre(e, options.probe_budget);
   if (nha.ok()) {
     NondetProfile profile = ProfileNha(*nha);
     if (profile.log2_h_estimate >= options.blowup_warn_log2) {
@@ -321,26 +320,6 @@ bool LintHre(const hre::Hre& e, const hedge::Vocabulary& vocab,
     }
   }
   return false;
-}
-
-void LintPhrTriplets(const phr::Phr& phr, const hedge::Vocabulary& vocab,
-                     const LintOptions& options,
-                     std::vector<Diagnostic>& out) {
-  const auto& triplets = phr.triplets();
-  for (size_t i = 0; i < triplets.size(); ++i) {
-    for (const auto& [expr, side] :
-         {std::pair<const hre::Hre&, const char*>{triplets[i].elder, "elder"},
-          std::pair<const hre::Hre&, const char*>{triplets[i].younger,
-                                                  "younger"}}) {
-      if (expr == nullptr) continue;
-      size_t begin = out.size();
-      LintHre(expr, vocab, options, out);
-      for (size_t d = begin; d < out.size(); ++d) {
-        out[d].span = "triplet " + std::to_string(i + 1) + " " + side +
-                      ": " + out[d].span;
-      }
-    }
-  }
 }
 
 Status ErrorStatus(const std::vector<Diagnostic>& diagnostics, size_t begin) {

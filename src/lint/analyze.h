@@ -7,7 +7,6 @@
 #include "automata/nha.h"
 #include "hre/ast.h"
 #include "lint/diagnostics.h"
-#include "phr/phr.h"
 
 namespace hedgeq::lint {
 
@@ -88,15 +87,10 @@ bool LintHre(const hre::Hre& e, const hedge::Vocabulary& vocab,
 std::string SpanOf(const hre::Hre& e, const hedge::Vocabulary& vocab,
                    size_t max_chars = 60);
 
-/// Lints every triplet condition of a pointed hedge representation,
-/// prefixing spans with "triplet <i> elder/younger". Shared by the
-/// pre-flight hooks of PhrEvaluator and SelectionEvaluator.
-void LintPhrTriplets(const phr::Phr& phr, const hedge::Vocabulary& vocab,
-                     const LintOptions& options,
-                     std::vector<Diagnostic>& out);
-
 /// Pre-flight gating: the first kError finding at or after index `begin`
-/// as a kInvalidArgument status, or Ok when none.
+/// as a kInvalidArgument status, or Ok when none. A caller that must not
+/// pay for compiling a query that cannot match lints it first
+/// (LintSelectionQuery, LintQueryUnderSchema) and gates on this.
 Status ErrorStatus(const std::vector<Diagnostic>& diagnostics, size_t begin);
 
 }  // namespace hedgeq::lint

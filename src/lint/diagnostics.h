@@ -108,13 +108,8 @@ std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics);
 /// malformed JSON with kInvalidArgument.
 Result<std::vector<Diagnostic>> ParseDiagnosticsJson(std::string_view json);
 
-/// Knobs for every analysis pass. The pre-flight hooks in
-/// query::SelectionEvaluator / schema transforms are opt-in: they only run
-/// when handed a LintOptions, and only reject inputs when `fail_on_error`
-/// is set (collected findings always go to the caller's sink).
+/// Knobs for every analysis pass.
 struct LintOptions {
-  /// Pre-flight: turn kError findings into kInvalidArgument statuses.
-  bool fail_on_error = true;
   /// Run the (quadratic-state) unambiguity decision procedure on compiled
   /// expressions no larger than `ambiguity_max_states`.
   bool check_ambiguity = true;

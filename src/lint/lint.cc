@@ -84,17 +84,30 @@ Result<LintReport> LintQueryUnderSchema(const schema::Schema& schema,
   }
   if (report.has_errors()) return report;  // the product would only restate
 
-  LintOptions product_options = options;
-  product_options.fail_on_error = false;
   Result<schema::MatchIdentifyingProduct> product =
       schema::BuildMatchIdentifyingProduct(schema, query,
-                                           options.probe_budget,
-                                           product_options,
-                                           &report.diagnostics);
-  if (!product.ok() &&
-      product.status().code() != StatusCode::kResourceExhausted) {
-    return product.status();
+                                           options.probe_budget);
+  if (!product.ok()) {
+    if (product.status().code() != StatusCode::kResourceExhausted) {
+      return product.status();
+    }
+    return report;  // a probe that trips its budget leaves it open
   }
+  // The query selects something under the schema iff some marked product
+  // state survives trimming (is derivable by a document and usable by an
+  // accepting computation): exactly the Section 8 emptiness question.
+  std::vector<automata::HState> mapping;
+  automata::PruneNha(product->nha, &mapping);
+  for (size_t q = 0; q < product->marked.size(); ++q) {
+    if (product->marked[q] && mapping[q] != strre::kNoState) return report;
+  }
+  report.diagnostics.push_back(Diagnostic{
+      Severity::kError, DiagnosticCode::kQueryUnsatisfiableUnderSchema,
+      "query under schema",
+      "the query can never select any node of any schema-valid document "
+      "(match-identifying product has no usable marked state)",
+      "the match pattern contradicts the schema; check element names and "
+      "sibling/ancestor conditions against the grammar"});
   return report;
 }
 
@@ -160,10 +173,9 @@ Result<LintReport> LintSchemaOverlap(const schema::Schema& a,
   // determinizes, so it runs under the probe budget.
   auto included = [&](const schema::Schema& x, const schema::Schema& y,
                       const char* x_name, const char* y_name) -> Status {
-    BudgetScope scope(options.probe_budget);
     schema::AlgebraWitness witness;
     Result<schema::Schema> diff =
-        schema::DifferenceSchemas(x, y, scope, &witness);
+        schema::DifferenceSchemas(x, y, options.probe_budget, &witness);
     if (!diff.ok()) {
       // An undecidable probe (budget) leaves the question open silently.
       return diff.status().code() == StatusCode::kResourceExhausted

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "lint/analyze.h"
 #include "obs/catalogue.h"
 #include "obs/obs.h"
 #include "obs/scope.h"
@@ -97,15 +96,7 @@ SiblingClasses ComputeSiblingClasses(const Hedge& doc,
 
 Result<PhrEvaluator> PhrEvaluator::Create(const phr::Phr& phr,
                                           const ExecBudget& budget) {
-  return Create(phr, budget, std::string_view());
-}
-
-Result<PhrEvaluator> PhrEvaluator::Create(const phr::Phr& phr,
-                                          const ExecBudget& budget,
-                                          std::string_view cache_scope) {
-  BudgetScope scope(budget);
-  Result<CompiledPhr> compiled =
-      CompilePhr(phr, scope, nullptr, cache_scope);
+  Result<CompiledPhr> compiled = CompilePhr(phr, budget);
   if (compiled.ok()) {
     HEDGEQ_OBS_COUNT(obs::metrics::kQueryEagerCompiles, 1);
     return PhrEvaluator(std::move(compiled).value());
@@ -128,23 +119,6 @@ Result<PhrEvaluator> PhrEvaluator::Create(const phr::Phr& phr,
   PhrEvaluator out;
   out.lazy_ = std::move(lazy).value();
   return out;
-}
-
-Result<PhrEvaluator> PhrEvaluator::Create(
-    const phr::Phr& phr, const ExecBudget& budget,
-    const hedge::Vocabulary& vocab, const lint::LintOptions& preflight,
-    std::vector<lint::Diagnostic>* diagnostics) {
-  std::vector<lint::Diagnostic> local;
-  std::vector<lint::Diagnostic>& sink =
-      diagnostics != nullptr ? *diagnostics : local;
-  const size_t begin = sink.size();
-  lint::LintPhrTriplets(phr, vocab, preflight, sink);
-  if (preflight.fail_on_error) {
-    HEDGEQ_RETURN_IF_ERROR(lint::ErrorStatus(sink, begin));
-  }
-  // The vocabulary is in hand, so the Theorem 4 compile can be keyed
-  // end-to-end in the certificate cache by the PHR's canonical text.
-  return Create(phr, budget, phr.ToString(vocab));
 }
 
 automata::EvalStats PhrEvaluator::stats() const {

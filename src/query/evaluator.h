@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "hedge/hedge.h"
-#include "lint/diagnostics.h"
 #include "query/lazy_phr.h"
 #include "query/phr_compile.h"
 
@@ -53,30 +52,13 @@ class PhrEvaluator {
  public:
   explicit PhrEvaluator(CompiledPhr compiled) : compiled_(std::move(compiled)) {}
 
-  /// Compiles (Theorem 4) and wraps; on budget exhaustion or an expired
-  /// deadline degrades to the lazy engine. Any other error (bad input,
-  /// injected fault) propagates.
+  /// Compiles (Theorem 4) in one scope opened from `budget` and wraps; on
+  /// budget exhaustion or an expired deadline degrades to the lazy engine.
+  /// Any other error (bad input, injected fault) propagates. Create does not
+  /// lint: a caller that wants to reject a representation that can never
+  /// match runs lint::LintSelectionQuery first.
   static Result<PhrEvaluator> Create(const phr::Phr& phr,
                                      const ExecBudget& budget = {});
-
-  /// As above, additionally keying the whole compile in the installed
-  /// certificate cache under `cache_scope` (opaque stable key material —
-  /// the vocabulary overload below passes the PHR's canonical text); empty
-  /// disables scoped caching. See CompilePhr's cache_scope overload.
-  static Result<PhrEvaluator> Create(const phr::Phr& phr,
-                                     const ExecBudget& budget,
-                                     std::string_view cache_scope);
-
-  /// Opt-in pre-flight lint: statically analyzes every triplet condition
-  /// of `phr` before paying for compilation. Findings are appended to
-  /// `diagnostics` (when non-null); an error-severity finding (a triplet
-  /// condition with an empty language makes the query unsatisfiable)
-  /// rejects the representation with kInvalidArgument when
-  /// preflight.fail_on_error is set. `vocab` renders expression spans.
-  static Result<PhrEvaluator> Create(
-      const phr::Phr& phr, const ExecBudget& budget,
-      const hedge::Vocabulary& vocab, const lint::LintOptions& preflight,
-      std::vector<lint::Diagnostic>* diagnostics = nullptr);
 
   /// located[n] == true iff the envelope of node n matches the
   /// representation. Only symbol-labeled nodes can be located. Both engines

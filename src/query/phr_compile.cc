@@ -70,24 +70,9 @@ PhrProductValidationHook GetPhrProductValidationHook() {
   return g_phr_product_hook.load(std::memory_order_relaxed);
 }
 
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr,
-                               const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return CompilePhr(phr, scope);
-}
-
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope) {
-  return CompilePhr(phr, scope, nullptr);
-}
-
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
+Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget,
                                PhrWitness* witness) {
-  return CompilePhr(phr, scope, witness, std::string_view());
-}
-
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
-                               PhrWitness* witness,
-                               std::string_view cache_scope) {
+  BudgetScope& scope = budget.scope();
   HEDGEQ_FAILPOINT("phr/compile");
   HEDGEQ_OBS_SPAN(span, obs::spans::kPhrCompile);
   CompiledPhr out;
@@ -128,32 +113,8 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
     }
   }
 
-  // Scoped caching: the evaluator overloads key the shared determinization
-  // by the PHR's canonical text, so a repeat compile of the same query hits
-  // the certificate cache without serializing the union NHA for the key.
-  // The cache needs the det witness to persist an entry, so force local
-  // recording when the caller did not ask for one.
-  automata::DeterminizeCache* cache =
-      cache_scope.empty() ? nullptr : automata::GetDeterminizeCache();
-  automata::DeterminizeWitness local_det;
-  automata::DeterminizeWitness* det_sink =
-      witness != nullptr ? &witness->det
-                         : (cache != nullptr ? &local_det : nullptr);
-
-  Result<automata::Determinized> det = [&]() -> Result<automata::Determinized> {
-    if (cache != nullptr) {
-      automata::Determinized hit{automata::Dha(1, 1, 0, 0), {}};
-      if (cache->LookupScoped(cache_scope, union_nha, &hit, det_sink)) {
-        return hit;
-      }
-    }
-    Result<automata::Determinized> fresh =
-        Determinize(union_nha, scope, det_sink);
-    if (fresh.ok() && cache != nullptr && det_sink != nullptr) {
-      cache->StoreScoped(cache_scope, union_nha, *fresh, *det_sink);
-    }
-    return fresh;
-  }();
+  Result<automata::Determinized> det = Determinize(
+      union_nha, scope, witness != nullptr ? &witness->det : nullptr);
   if (!det.ok()) return det.status();
   if (witness != nullptr) {
     witness->union_nha = union_nha;

@@ -2,7 +2,6 @@
 #define HEDGEQ_QUERY_PHR_COMPILE_H_
 
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "automata/determinize.h"
@@ -91,8 +90,8 @@ class CompiledPhr {
   size_t num_triplets() const { return elder_ok_.size(); }
 
  private:
-  friend Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope&,
-                                        PhrWitness*, std::string_view);
+  friend Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg,
+                                        PhrWitness*);
 
   automata::Dha dha_{1, 1, 0, 0};
   std::vector<Bitset> subsets_;
@@ -121,33 +120,16 @@ PhrProductValidationHook GetPhrProductValidationHook();
 /// Theorem 4: compiles a pointed hedge representation. Exponential in the
 /// representation size in the worst case (determinization of M and of N,
 /// and the class product); the produced artifacts evaluate documents in
-/// linear time. Every exponential stage charges the budget, so compilation
-/// fails with kResourceExhausted — naming the stage and the count reached —
-/// instead of overrunning; PhrEvaluator falls back to the lazy engine then.
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr,
-                               const ExecBudget& budget = {});
-
-/// As above, charging an existing scope (cumulative caps across a larger
-/// pipeline, e.g. SelectionEvaluator::Create).
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope);
-
-/// As above, additionally recording the Theorem 4 determinization
-/// certificate into `witness` (ignored when null).
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
-                               PhrWitness* witness);
-
-/// As above, additionally consulting the installed DeterminizeCache under a
-/// pipeline-scoped key: `cache_scope` is opaque stable key material — the
-/// PhrEvaluator/SelectionEvaluator vocabulary overloads pass the PHR's
-/// canonical text rendered against the vocabulary — so the whole Theorem 4
-/// determinization hits without re-serializing the union NHA for the key.
-/// The cache's validation ladder is unchanged (the stored input automaton
-/// is still byte-compared against the union NHA). Empty `cache_scope`
-/// disables scoped caching; the per-Determinize input-keyed cache still
-/// applies either way.
-Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetScope& scope,
-                               PhrWitness* witness,
-                               std::string_view cache_scope);
+/// linear time. Every exponential stage charges `budget` — the caller's
+/// scope when the compile is one stage of a larger pipeline, or a fresh
+/// one — so compilation fails with kResourceExhausted, naming the stage and
+/// the count reached, instead of overrunning; PhrEvaluator falls back to
+/// the lazy engine then. When `witness` is non-null the Theorem 4
+/// certificate is recorded into it. The shared determinization goes
+/// through automata::Determinize, so an installed DeterminizeCache serves
+/// it under the union NHA's own key.
+Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget = {},
+                               PhrWitness* witness = nullptr);
 
 }  // namespace hedgeq::query
 

@@ -1,6 +1,5 @@
 #include "query/selection.h"
 
-#include "lint/analyze.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -41,12 +40,6 @@ Result<SelectionQuery> ParseSelectionQuery(std::string_view text,
 
 Result<SelectionEvaluator> SelectionEvaluator::Create(
     const SelectionQuery& query, const ExecBudget& budget) {
-  return CreateImpl(query, budget, std::string_view());
-}
-
-Result<SelectionEvaluator> SelectionEvaluator::CreateImpl(
-    const SelectionQuery& query, const ExecBudget& budget,
-    std::string_view envelope_cache_scope) {
   SelectionEvaluator out;
   if (query.subhedge != nullptr) {
     HEDGEQ_FAILPOINT("selection/subhedge");
@@ -58,34 +51,10 @@ Result<SelectionEvaluator> SelectionEvaluator::CreateImpl(
     if (!engine.ok()) return engine.status();
     out.subhedge_ = std::move(engine).value();
   }
-  Result<PhrEvaluator> phr_eval =
-      PhrEvaluator::Create(query.envelope, budget, envelope_cache_scope);
+  Result<PhrEvaluator> phr_eval = PhrEvaluator::Create(query.envelope, budget);
   if (!phr_eval.ok()) return phr_eval.status();
   out.phr_ = std::move(phr_eval).value();
   return out;
-}
-
-Result<SelectionEvaluator> SelectionEvaluator::Create(
-    const SelectionQuery& query, const ExecBudget& budget,
-    const hedge::Vocabulary& vocab, const lint::LintOptions& preflight,
-    std::vector<lint::Diagnostic>* diagnostics) {
-  std::vector<lint::Diagnostic> local;
-  std::vector<lint::Diagnostic>& sink =
-      diagnostics != nullptr ? *diagnostics : local;
-  const size_t begin = sink.size();
-  if (query.subhedge != nullptr) {
-    lint::LintHre(query.subhedge, vocab, preflight, sink);
-    for (size_t d = begin; d < sink.size(); ++d) {
-      sink[d].span = "subhedge condition e1: " + sink[d].span;
-    }
-  }
-  lint::LintPhrTriplets(query.envelope, vocab, preflight, sink);
-  if (preflight.fail_on_error) {
-    HEDGEQ_RETURN_IF_ERROR(lint::ErrorStatus(sink, begin));
-  }
-  // With the vocabulary in hand the envelope compile can be keyed
-  // end-to-end in the certificate cache by its canonical text.
-  return CreateImpl(query, budget, query.envelope.ToString(vocab));
 }
 
 std::vector<bool> SelectionEvaluator::Locate(const Hedge& doc) const {

@@ -33,26 +33,17 @@ Result<SelectionQuery> ParseSelectionQuery(std::string_view text,
 /// document evaluates in O(nodes).
 ///
 /// Robustness: both exponential stages (determinizing the subhedge
-/// automaton, compiling the envelope) run under `budget`; on a degradable
-/// status (IsDegradable: kResourceExhausted or kDeadlineExceeded) each
-/// independently degrades to its lazy engine (LazyDha marks /
-/// LazyPhrEvaluator), so Create fails only on bad input or on a deadline
-/// that has truly passed. fallback_used()/stats() report which engines are
-/// active.
+/// automaton, compiling the envelope) run under `budget`, each in a scope
+/// of its own; on a degradable status (IsDegradable: kResourceExhausted or
+/// kDeadlineExceeded) each independently degrades to its lazy engine
+/// (LazyDha marks / LazyPhrEvaluator), so Create fails only on bad input or
+/// on a deadline that has truly passed. fallback_used()/stats() report
+/// which engines are active. Create does not lint the query; callers that
+/// want a pre-flight rejection run lint::LintSelectionQuery first.
 class SelectionEvaluator {
  public:
   static Result<SelectionEvaluator> Create(const SelectionQuery& query,
                                            const ExecBudget& budget = {});
-
-  /// Opt-in pre-flight lint: statically analyzes e1 and every envelope
-  /// triplet before any exponential preprocessing runs. Findings land in
-  /// `diagnostics` (when non-null); with preflight.fail_on_error an
-  /// empty-language condition rejects the query as kInvalidArgument
-  /// instead of paying to compile an evaluator that cannot match.
-  static Result<SelectionEvaluator> Create(
-      const SelectionQuery& query, const ExecBudget& budget,
-      const hedge::Vocabulary& vocab, const lint::LintOptions& preflight,
-      std::vector<lint::Diagnostic>* diagnostics = nullptr);
 
   /// located[n] == true iff node n is located by the query (Definition 22).
   std::vector<bool> Locate(const hedge::Hedge& doc) const;
@@ -75,13 +66,6 @@ class SelectionEvaluator {
 
  private:
   SelectionEvaluator() = default;
-
-  /// Shared body of both Create overloads; `envelope_cache_scope` keys the
-  /// Theorem 4 envelope compile in the certificate cache (empty disables —
-  /// the budget-only overload has no vocabulary to render the key with).
-  static Result<SelectionEvaluator> CreateImpl(
-      const SelectionQuery& query, const ExecBudget& budget,
-      std::string_view envelope_cache_scope);
 
   std::optional<automata::HedgeEngine> subhedge_;  // set when e1 was given
   std::optional<PhrEvaluator> phr_;

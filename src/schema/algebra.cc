@@ -88,10 +88,6 @@ AlgebraValidationHook GetAlgebraValidationHook() {
   return g_algebra_hook.load(std::memory_order_relaxed);
 }
 
-Schema IntersectSchemas(const Schema& a, const Schema& b) {
-  return IntersectSchemas(a, b, nullptr);
-}
-
 Schema IntersectSchemas(const Schema& a, const Schema& b,
                         AlgebraWitness* witness) {
   AlgebraWitness local;
@@ -103,10 +99,6 @@ Schema IntersectSchemas(const Schema& a, const Schema& b,
   if (sink != nullptr) sink->op = AlgebraOp::kIntersect;
   MaybeValidate(a, b, out, sink);
   return out;
-}
-
-Schema UnionSchemas(const Schema& a, const Schema& b) {
-  return UnionSchemas(a, b, nullptr);
 }
 
 Schema UnionSchemas(const Schema& a, const Schema& b,
@@ -128,44 +120,26 @@ Schema UnionSchemas(const Schema& a, const Schema& b,
 }
 
 Result<Schema> ComplementSchema(const Schema& a, const Schema& universe_hint,
-                                const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return ComplementSchema(a, universe_hint, scope);
-}
-
-Result<Schema> ComplementSchema(const Schema& a, const Schema& universe_hint,
-                                BudgetScope& scope) {
+                                BudgetArg budget) {
   HEDGEQ_FAILPOINT("schema/complement");
   std::vector<hedge::SymbolId> symbols;
   std::vector<hedge::VarId> variables;
   JointVocabulary(a, universe_hint, &symbols, &variables);
 
-  auto det = automata::Determinize(a.nha(), scope);
+  auto det = automata::Determinize(a.nha(), budget.scope());
   if (!det.ok()) return det.status();
   automata::Dha complement = automata::ComplementDha(det->dha);
   return Schema(automata::DhaToNha(complement, variables, symbols));
 }
 
 Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return DifferenceSchemas(a, b, scope);
-}
-
-Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 BudgetScope& scope) {
-  return DifferenceSchemas(a, b, scope, nullptr);
-}
-
-Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 BudgetScope& scope,
-                                 AlgebraWitness* witness) {
+                                 BudgetArg budget, AlgebraWitness* witness) {
   AlgebraWitness local;
   AlgebraWitness* sink =
       witness != nullptr
           ? witness
           : (GetAlgebraValidationHook() != nullptr ? &local : nullptr);
-  Result<Schema> not_b = ComplementSchema(b, a, scope);
+  Result<Schema> not_b = ComplementSchema(b, a, budget.scope());
   if (!not_b.ok()) return not_b.status();
   Schema out = IntersectCore(a.nha(), not_b->nha(), sink);
   if (sink != nullptr) {
@@ -177,26 +151,15 @@ Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
 }
 
 Result<bool> SchemaIncludes(const Schema& a, const Schema& b,
-                            const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return SchemaIncludes(a, b, scope);
-}
-
-Result<bool> SchemaIncludes(const Schema& a, const Schema& b,
-                            BudgetScope& scope) {
-  Result<Schema> diff = DifferenceSchemas(a, b, scope);
+                            BudgetArg budget) {
+  Result<Schema> diff = DifferenceSchemas(a, b, budget.scope());
   if (!diff.ok()) return diff.status();
   return diff->IsEmpty();
 }
 
 Result<bool> SchemasEquivalent(const Schema& a, const Schema& b,
-                               const ExecBudget& budget) {
-  BudgetScope scope(budget);
-  return SchemasEquivalent(a, b, scope);
-}
-
-Result<bool> SchemasEquivalent(const Schema& a, const Schema& b,
-                               BudgetScope& scope) {
+                               BudgetArg budget) {
+  BudgetScope& scope = budget.scope();
   Result<bool> ab = SchemaIncludes(a, b, scope);
   if (!ab.ok()) return ab.status();
   if (!*ab) return false;

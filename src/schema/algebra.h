@@ -38,42 +38,32 @@ struct AlgebraWitness {
 /// RELAX/TREX family composable; Section 2).
 ///
 /// Complementation determinizes (worst-case exponential), so every
-/// operation built on it takes an ExecBudget and fails with
-/// kResourceExhausted — naming the stage and count reached — instead of
-/// exhausting the machine. The BudgetScope overloads charge an existing
-/// scope, so a chain like SchemasEquivalent (two inclusions, each a
-/// complement) shares one cumulative pool.
+/// operation built on it takes a budget and fails with kResourceExhausted —
+/// naming the stage and count reached — instead of exhausting the machine.
+/// The budget binds the caller's scope or opens a fresh one (BudgetArg), so
+/// a chain like SchemasEquivalent (two inclusions, each a complement)
+/// shares one cumulative pool. Operations with a `witness` parameter fill
+/// it when it is non-null.
 
 /// L(a) ∩ L(b).
-Schema IntersectSchemas(const Schema& a, const Schema& b);
-/// As above, additionally filling `witness` (ignored when null).
 Schema IntersectSchemas(const Schema& a, const Schema& b,
-                        AlgebraWitness* witness);
+                        AlgebraWitness* witness = nullptr);
 
 /// L(a) ∪ L(b).
-Schema UnionSchemas(const Schema& a, const Schema& b);
-/// As above, additionally filling `witness` (ignored when null).
 Schema UnionSchemas(const Schema& a, const Schema& b,
-                    AlgebraWitness* witness);
+                    AlgebraWitness* witness = nullptr);
 
 /// Documents over the joint vocabulary of `a` and `universe_hint` that are
 /// NOT valid under `a`. The complement is relative to hedges whose element
 /// names and variables appear in either schema (hedge languages over an
 /// open alphabet have no absolute complement).
 Result<Schema> ComplementSchema(const Schema& a, const Schema& universe_hint,
-                                const ExecBudget& budget = {});
-Result<Schema> ComplementSchema(const Schema& a, const Schema& universe_hint,
-                                BudgetScope& scope);
+                                BudgetArg budget = {});
 
 /// L(a) \ L(b) over their joint vocabulary.
 Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 const ExecBudget& budget = {});
-Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 BudgetScope& scope);
-/// As above, additionally filling `witness` (ignored when null).
-Result<Schema> DifferenceSchemas(const Schema& a, const Schema& b,
-                                 BudgetScope& scope,
-                                 AlgebraWitness* witness);
+                                 BudgetArg budget = {},
+                                 AlgebraWitness* witness = nullptr);
 
 /// Inline-certification hook (HEDGEQ_CERTIFY): when installed, every
 /// Intersect/Union/DifferenceSchemas validates its own witness before
@@ -88,15 +78,11 @@ AlgebraValidationHook GetAlgebraValidationHook();
 
 /// L(a) ⊆ L(b)?
 Result<bool> SchemaIncludes(const Schema& a, const Schema& b,
-                            const ExecBudget& budget = {});
-Result<bool> SchemaIncludes(const Schema& a, const Schema& b,
-                            BudgetScope& scope);
+                            BudgetArg budget = {});
 
 /// L(a) == L(b)?
 Result<bool> SchemasEquivalent(const Schema& a, const Schema& b,
-                               const ExecBudget& budget = {});
-Result<bool> SchemasEquivalent(const Schema& a, const Schema& b,
-                               BudgetScope& scope);
+                               BudgetArg budget = {});
 
 }  // namespace hedgeq::schema
 

@@ -343,59 +343,6 @@ Result<MatchIdentifyingProduct> BuildMatchIdentifyingProduct(
   return out;
 }
 
-Result<MatchIdentifyingProduct> BuildMatchIdentifyingProduct(
-    const Schema& input, const query::SelectionQuery& query,
-    const ExecBudget& options, const lint::LintOptions& preflight,
-    std::vector<lint::Diagnostic>* diagnostics) {
-  std::vector<lint::Diagnostic> local;
-  std::vector<lint::Diagnostic>& sink =
-      diagnostics != nullptr ? *diagnostics : local;
-  const size_t begin = sink.size();
-
-  if (automata::IsEmptyNha(input.nha())) {
-    sink.push_back(lint::Diagnostic{
-        lint::Severity::kError, lint::DiagnosticCode::kEmptySchema, "schema",
-        "no document satisfies this schema, so the transform output is "
-        "trivially empty",
-        "fix the schema before deriving output schemas from it"});
-    if (preflight.fail_on_error) {
-      return lint::ErrorStatus(sink, begin);
-    }
-  }
-
-  Result<MatchIdentifyingProduct> product =
-      BuildMatchIdentifyingProduct(input, query, options);
-  if (!product.ok()) return product.status();
-
-  // The query selects something under the schema iff some marked product
-  // state survives trimming (is derivable by a document and usable by an
-  // accepting computation) — exactly the Section 8 emptiness question.
-  std::vector<automata::HState> mapping;
-  automata::Nha trimmed = automata::PruneNha(product->nha, &mapping);
-  (void)trimmed;
-  bool satisfiable = false;
-  for (size_t q = 0; q < product->marked.size(); ++q) {
-    if (product->marked[q] && mapping[q] != strre::kNoState) {
-      satisfiable = true;
-      break;
-    }
-  }
-  if (!satisfiable) {
-    sink.push_back(lint::Diagnostic{
-        lint::Severity::kError,
-        lint::DiagnosticCode::kQueryUnsatisfiableUnderSchema,
-        "query under schema",
-        "the query can never select any node of any schema-valid document "
-        "(match-identifying product has no usable marked state)",
-        "the match pattern contradicts the schema; check element names and "
-        "sibling/ancestor conditions against the grammar"});
-    if (preflight.fail_on_error) {
-      return lint::ErrorStatus(sink, begin);
-    }
-  }
-  return product;
-}
-
 namespace {
 
 // "Use marked states as final state sequences — only those from which
@@ -532,13 +479,6 @@ Result<std::optional<SampleMatch>> SampleMatchingDocument(
       BuildMatchIdentifyingProduct(input, query, options);
   if (!prod.ok()) return prod.status();
   return SampleFromProduct(prod->nha, prod->marked);
-}
-
-Result<ContainmentResult> QueryContainment(
-    const Schema& input, const query::SelectionQuery& q1,
-    const query::SelectionQuery& q2,
-    const ExecBudget& options) {
-  return QueryContainment(input, q1, q2, options, nullptr);
 }
 
 namespace {

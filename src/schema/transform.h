@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "lint/analyze.h"
-#include "lint/diagnostics.h"
 #include "query/boolean.h"
 #include "query/selection.h"
 #include "schema/match_identify.h"
@@ -21,20 +19,12 @@ struct MatchIdentifyingProduct {
   std::vector<bool> marked;  // per product state
 };
 
+/// Builds the product under `options`. A query that can select nothing
+/// under the schema still yields a product, one whose marked states are
+/// all unusable; lint::LintQueryUnderSchema reports that as HQL301.
 Result<MatchIdentifyingProduct> BuildMatchIdentifyingProduct(
     const Schema& input, const query::SelectionQuery& query,
     const ExecBudget& options = {});
-
-/// Pre-flight variant: before (and after) building the product, run static
-/// checks and append findings to `diagnostics` (or discard them when null).
-/// Emits HQL004 when the schema's language is empty and HQL301 when no
-/// marked product state survives trimming, i.e. the query can never select
-/// a node of any schema-valid document. With `preflight.fail_on_error` an
-/// error-severity finding becomes a kInvalidArgument status.
-Result<MatchIdentifyingProduct> BuildMatchIdentifyingProduct(
-    const Schema& input, const query::SelectionQuery& query,
-    const ExecBudget& options, const lint::LintOptions& preflight,
-    std::vector<lint::Diagnostic>* diagnostics = nullptr);
 
 /// Output schema of select(e1, e2) on `input`: accepts exactly the subtrees
 /// rooted at nodes located in some input-valid document ("we only have to
@@ -82,10 +72,6 @@ struct ContainmentResult {
   bool contained;
   std::optional<SampleMatch> counterexample;  // set when !contained
 };
-Result<ContainmentResult> QueryContainment(
-    const Schema& input, const query::SelectionQuery& q1,
-    const query::SelectionQuery& q2,
-    const ExecBudget& options = {});
 
 /// Certificate of one QueryContainment decision: the pruned layered
 /// product the verdict was read off, plus the two per-state mark tables
@@ -110,14 +96,15 @@ using ContainmentValidationHook = Status (*)(
 void SetContainmentValidationHook(ContainmentValidationHook hook);
 ContainmentValidationHook GetContainmentValidationHook();
 
-/// As above, additionally recording the containment certificate into
-/// `witness` (ignored when null). Failpoint `containment/flip-verdict`
-/// inverts the verdict — and discards the counterexample when flipping to
-/// "contained" — a seeded bug verify::CheckContainment must catch.
+/// Decides containment as described above, recording the containment
+/// certificate into `witness` when it is non-null. Failpoint
+/// `containment/flip-verdict` inverts the verdict — and discards the
+/// counterexample when flipping to "contained" — a seeded bug
+/// verify::CheckContainment must catch.
 Result<ContainmentResult> QueryContainment(
     const Schema& input, const query::SelectionQuery& q1,
-    const query::SelectionQuery& q2, const ExecBudget& options,
-    ContainmentWitness* witness);
+    const query::SelectionQuery& q2, const ExecBudget& options = {},
+    ContainmentWitness* witness = nullptr);
 
 /// Both containments hold: the queries locate exactly the same nodes on
 /// every schema-valid document.

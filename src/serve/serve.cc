@@ -43,18 +43,6 @@ class LockedCache : public automata::DeterminizeCache {
     std::lock_guard<std::mutex> lock(*mu_);
     inner_->Store(input, out, witness);
   }
-  bool LookupScoped(std::string_view key_material, const automata::Nha& input,
-                    automata::Determinized* out,
-                    automata::DeterminizeWitness* witness) override {
-    std::lock_guard<std::mutex> lock(*mu_);
-    return inner_->LookupScoped(key_material, input, out, witness);
-  }
-  void StoreScoped(std::string_view key_material, const automata::Nha& input,
-                   const automata::Determinized& out,
-                   const automata::DeterminizeWitness& witness) override {
-    std::lock_guard<std::mutex> lock(*mu_);
-    inner_->StoreScoped(key_material, input, out, witness);
-  }
 
  private:
   automata::DeterminizeCache* inner_;

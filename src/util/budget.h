@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "util/status.h"
 
@@ -139,6 +140,28 @@ class BudgetScope {
   size_t depth_ = 0;
   uint32_t deadline_countdown_ = 1;  // first check reads the clock
   bool expired_ = false;             // deadline verdicts are sticky
+};
+
+/// The budget parameter of a stage that runs either on its own or inside a
+/// larger pipeline. It binds the caller's BudgetScope, so the stage shares
+/// that scope's cumulative caps, or it opens a fresh scope from an
+/// ExecBudget (default: the default limits) that lives until the call
+/// returns. One declaration thus serves `Stage(x)`, `Stage(x, budget)` and
+/// `Stage(x, scope)`. Take it by value; it is neither copied nor moved.
+class BudgetArg {
+ public:
+  // Implicit on purpose: both conversions are the point of the type.
+  BudgetArg(BudgetScope& scope) : scope_(&scope) {}
+  BudgetArg(const ExecBudget& budget = {})
+      : owned_(std::in_place, budget), scope_(&*owned_) {}
+  BudgetArg(const BudgetArg&) = delete;
+  BudgetArg& operator=(const BudgetArg&) = delete;
+
+  BudgetScope& scope() const { return *scope_; }
+
+ private:
+  std::optional<BudgetScope> owned_;
+  BudgetScope* scope_;
 };
 
 /// RAII depth guard: increments the scope's depth on construction,

@@ -372,9 +372,8 @@ Result<Certificate> BuildAlgebraCertificate(const schema::Schema& a,
       cert.alg_out = schema::UnionSchemas(a, b, &cert.alg).nha();
       break;
     case schema::AlgebraOp::kDifference: {
-      BudgetScope scope(budget);
       Result<schema::Schema> out =
-          schema::DifferenceSchemas(a, b, scope, &cert.alg);
+          schema::DifferenceSchemas(a, b, budget, &cert.alg);
       if (!out.ok()) return out.status();
       cert.alg_out = out->nha();
       break;

@@ -2099,8 +2099,7 @@ std::vector<Diagnostic> CheckFromNha(const Nha& input, const hre::Hre& output,
   budget.max_memory_bytes = size_t{32} << 20;
   budget.max_steps = size_t{1} << 24;
   budget.max_depth = 1024;
-  BudgetScope scope(budget);
-  Result<Nha> compiled = hre::CompileHre(output, scope);
+  Result<Nha> compiled = hre::CompileHre(output, budget);
   if (!compiled.ok()) return out;
 
   EnumVocab ev;

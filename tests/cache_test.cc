@@ -101,6 +101,27 @@ class CacheTest : public ::testing::Test {
   std::string dir_;
 };
 
+// Enables obs with a zeroed registry for one test, and restores the gates.
+struct ObsGuard {
+  ObsGuard() {
+    obs::Registry().Reset();
+    obs::RegisterCatalogue();
+    obs::SetEnabled(true);
+  }
+  ~ObsGuard() {
+    obs::SetEnabled(false);
+    obs::Registry().Reset();
+  }
+};
+
+// How many times the span `name` closed since the registry was zeroed.
+uint64_t SpanCount(const char* name) {
+  for (const obs::SpanAggregate& s : obs::Registry().SpanAggregates()) {
+    if (s.name == name) return s.count;
+  }
+  return 0;
+}
+
 // An empty placeholder a Lookup can fill (Dha has no default constructor).
 automata::Determinized Placeholder() {
   return automata::Determinized{automata::Dha{1, 1, 0, 0}, {}};
@@ -360,40 +381,21 @@ TEST_F(CacheTest, InstancesWithDistinctVocabulariesShareOneDirectory) {
 }
 
 TEST_F(CacheTest, ValidatedHitSkipsTheDeterminizeStageSpan) {
-  // Restores the obs gates and zeroes the registry around the test.
-  struct ObsGuard {
-    ObsGuard() {
-      obs::Registry().Reset();
-      obs::RegisterCatalogue();
-      obs::SetEnabled(true);
-    }
-    ~ObsGuard() {
-      obs::SetEnabled(false);
-      obs::Registry().Reset();
-    }
-  } guard;
-
+  ObsGuard guard;
   std::unique_ptr<AutomatonCache> cache = OpenCache();
   automata::SetDeterminizeCache(cache.get());
   automata::Nha nha = Compile("(a|b)* c<$x>");
 
-  auto span_count = [](const char* name) -> uint64_t {
-    for (const obs::SpanAggregate& s : obs::Registry().SpanAggregates()) {
-      if (s.name == name) return s.count;
-    }
-    return 0;
-  };
-
   auto cold = automata::Determinize(nha);
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(span_count(obs::spans::kDeterminize), 1u);
-  EXPECT_EQ(span_count(obs::spans::kCacheStoreSpan), 1u);
+  EXPECT_EQ(SpanCount(obs::spans::kDeterminize), 1u);
+  EXPECT_EQ(SpanCount(obs::spans::kCacheStoreSpan), 1u);
 
   auto warm = automata::Determinize(nha);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(span_count(obs::spans::kDeterminize), 1u)
+  EXPECT_EQ(SpanCount(obs::spans::kDeterminize), 1u)
       << "a validated hit must not open the determinize stage span";
-  EXPECT_GE(span_count(obs::spans::kCacheLoad), 2u);
+  EXPECT_GE(SpanCount(obs::spans::kCacheLoad), 2u);
   EXPECT_EQ(obs::Registry().GetCounter(obs::metrics::kCacheHit)->value(), 1u);
 }
 
@@ -519,51 +521,6 @@ TEST_F(CacheTest, EntrySwappedToAnotherCertificateKindIsQuarantined) {
   EXPECT_EQ(QuarantinedEntries().size(), 1u);
 }
 
-TEST_F(CacheTest, ScopedStoreAndLookupRoundTrip) {
-  std::unique_ptr<AutomatonCache> cache = OpenCache();
-  automata::Nha nha = Compile("a<b*> | c");
-
-  BudgetScope scope{ExecBudget{}};
-  automata::DeterminizeWitness witness;
-  auto det = automata::Determinize(nha, scope, &witness);
-  ASSERT_TRUE(det.ok()) << det.status().ToString();
-
-  const std::string pipeline_key = "select(a<b*> | c; [(); doc; ()])";
-  cache->StoreScoped(pipeline_key, nha, *det, witness);
-  EXPECT_TRUE(fs::exists(cache->ScopedEntryPathFor(pipeline_key)));
-  // The scoped key is derived from the pipeline text, not the automaton:
-  // the input-keyed entry path stays unpopulated.
-  EXPECT_FALSE(fs::exists(cache->EntryPathFor(nha)));
-
-  automata::Determinized hit{automata::Dha(1, 1, 0, 0), {}};
-  automata::DeterminizeWitness hw;
-  EXPECT_TRUE(cache->LookupScoped(pipeline_key, nha, &hit, &hw));
-  EXPECT_EQ(Dha(hit.dha), Dha(det->dha));
-  EXPECT_EQ(cache->stats().hits, 1u);
-  // A different pipeline key misses; so does the input-keyed lookup.
-  EXPECT_FALSE(cache->LookupScoped("select(other; ...)", nha, &hit, &hw));
-  EXPECT_FALSE(cache->Lookup(nha, &hit, &hw));
-}
-
-TEST_F(CacheTest, ScopedHitRejectsSwappedInputAutomaton) {
-  // The ladder is unchanged for scoped entries: a scoped hit whose stored
-  // input does not byte-match the pipeline's union NHA is quarantined.
-  std::unique_ptr<AutomatonCache> cache = OpenCache();
-  automata::Nha nha = Compile("a<b*> | c");
-  automata::Nha other = Compile("(a|b)*");
-
-  BudgetScope scope{ExecBudget{}};
-  automata::DeterminizeWitness witness;
-  auto det = automata::Determinize(nha, scope, &witness);
-  ASSERT_TRUE(det.ok()) << det.status().ToString();
-  cache->StoreScoped("pipeline", nha, *det, witness);
-
-  automata::Determinized hit{automata::Dha(1, 1, 0, 0), {}};
-  automata::DeterminizeWitness hw;
-  EXPECT_FALSE(cache->LookupScoped("pipeline", other, &hit, &hw));
-  EXPECT_EQ(cache->stats().quarantines, 1u);
-}
-
 TEST_F(CacheTest, LoadRevalidationDefaultsToLightCheck) {
   std::unique_ptr<AutomatonCache> cache = OpenCache();
   ASSERT_EQ(cache->check_mode(), CheckMode::kLight);
@@ -587,26 +544,39 @@ TEST_F(CacheTest, LoadRevalidationDefaultsToLightCheck) {
 }
 
 TEST_F(CacheTest, CompilePhrHitsTheScopedEntryEndToEnd) {
+  // A Theorem 4 compile reaches the cache through Determinize's own entry,
+  // keyed by the union NHA: the cold compile writes that one entry, and
+  // the warm compile hits it without running the determinize stage.
+  ObsGuard guard;
   std::unique_ptr<AutomatonCache> cache = OpenCache();
   automata::SetDeterminizeCache(cache.get());
 
   auto phr = phr::ParsePhr("[a<b*>; doc; *]", vocab_);
   ASSERT_TRUE(phr.ok()) << phr.status().ToString();
-  const std::string key = phr->ToString(vocab_);
+  auto cert_entries = [&] {
+    size_t n = 0;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      n += entry.path().extension() == ".cert";
+    }
+    return n;
+  };
 
-  BudgetScope cold{ExecBudget{}};
-  auto first = query::CompilePhr(*phr, cold, nullptr, key);
+  auto first = query::CompilePhr(*phr);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_TRUE(fs::exists(cache->ScopedEntryPathFor(key)));
+  EXPECT_EQ(SpanCount(obs::spans::kDeterminize), 1u);
+  EXPECT_EQ(cert_entries(), 1u);
   uint64_t misses_after_cold = cache->stats().misses;
   EXPECT_GE(misses_after_cold, 1u);
 
-  BudgetScope warm{ExecBudget{}};
-  auto second = query::CompilePhr(*phr, warm, nullptr, key);
+  auto second = query::CompilePhr(*phr);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_GE(cache->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().hits, 1u);
   EXPECT_EQ(cache->stats().misses, misses_after_cold)
       << "the warm compile must not miss again";
+  EXPECT_EQ(SpanCount(obs::spans::kDeterminize), 1u)
+      << "a validated hit must not open the determinize stage span";
+  EXPECT_EQ(cert_entries(), 1u);
+  EXPECT_EQ(second->num_classes(), first->num_classes());
 }
 
 TEST_F(CacheTest, OpenFailsCleanlyWhenDirectoryCannotBeCreated) {

@@ -8,7 +8,6 @@
 #include "hre/compile.h"
 #include "lint/analyze.h"
 #include "lint/lint.h"
-#include "query/evaluator.h"
 #include "query/selection.h"
 #include "schema/schema.h"
 #include "schema/transform.h"
@@ -337,81 +336,72 @@ TEST_F(LintTest, EquivalentQueriesFlaggedBothWays) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-flight hooks.
+// Pre-flight: lint a query before paying to compile it, and gate on
+// ErrorStatus. The evaluators and transforms do not lint by themselves.
 
 TEST_F(LintTest, EvaluatorPreflightRejectsImpossibleTriplet) {
   // The elder condition c<{}> denotes {}: the triplet can never match.
   query::SelectionQuery query =
       ParseQuery("select(*; [c<{}>; para; *] sec doc)");
-  std::vector<Diagnostic> diagnostics;
-  auto eval = query::SelectionEvaluator::Create(
-      query, ExecBudget{}, vocab_, LintOptions{}, &diagnostics);
-  EXPECT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(HasErrors(diagnostics));
-  EXPECT_GE(CountCode(diagnostics, DiagnosticCode::kEmptyExpression), 1u);
+  LintReport report = LintSelectionQuery(query, vocab_);
+  EXPECT_EQ(ErrorStatus(report.diagnostics, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_GE(CountCode(report.diagnostics, DiagnosticCode::kEmptyExpression),
+            1u);
   // Spans say where inside the query the dead condition sits.
-  EXPECT_NE(diagnostics.front().span.find("elder"), std::string::npos);
+  EXPECT_NE(report.diagnostics.front().span.find("elder"), std::string::npos);
 }
 
 TEST_F(LintTest, EvaluatorPreflightCanBeAdvisory) {
   query::SelectionQuery query =
       ParseQuery("select(*; [c<{}>; para; *] sec doc)");
-  LintOptions advisory;
-  advisory.fail_on_error = false;
-  std::vector<Diagnostic> diagnostics;
-  auto eval = query::SelectionEvaluator::Create(
-      query, ExecBudget{}, vocab_, advisory, &diagnostics);
+  LintReport report = LintSelectionQuery(query, vocab_);
+  EXPECT_TRUE(report.has_errors());  // findings surface
+  // Only the caller's gate rejects: the evaluator still compiles.
+  auto eval = query::SelectionEvaluator::Create(query);
   EXPECT_TRUE(eval.ok()) << eval.status().ToString();
-  EXPECT_TRUE(HasErrors(diagnostics));  // findings still surface
 }
 
 TEST_F(LintTest, EvaluatorPreflightPassesCleanQueries) {
   query::SelectionQuery query = ParseQuery("select(*; para sec+ doc)");
-  std::vector<Diagnostic> diagnostics;
-  auto eval = query::SelectionEvaluator::Create(
-      query, ExecBudget{}, vocab_, LintOptions{}, &diagnostics);
+  LintReport report = LintSelectionQuery(query, vocab_);
+  EXPECT_FALSE(report.has_errors());
+  EXPECT_TRUE(ErrorStatus(report.diagnostics, 0).ok());
+  auto eval = query::SelectionEvaluator::Create(query);
   EXPECT_TRUE(eval.ok()) << eval.status().ToString();
-  EXPECT_FALSE(HasErrors(diagnostics));
 }
 
 TEST_F(LintTest, PhrEvaluatorPreflightRejectsEmptyCondition) {
   auto phr = phr::ParsePhr("[c<{}> a; para; *]", vocab_);
   ASSERT_TRUE(phr.ok()) << phr.status().ToString();
-  auto eval = query::PhrEvaluator::Create(*phr, ExecBudget{}, vocab_,
-                                          LintOptions{});
-  EXPECT_FALSE(eval.ok());
-  EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
+  LintReport report =
+      LintSelectionQuery(query::SelectionQuery{nullptr, *phr}, vocab_);
+  EXPECT_EQ(ErrorStatus(report.diagnostics, 0).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(LintTest, TransformPreflightRejectsUnsatisfiableQuery) {
   schema::Schema schema = DocSchema();
   query::SelectionQuery unsat = ParseQuery("select(*; bogus sec* doc)");
-  std::vector<Diagnostic> diagnostics;
-  auto product = schema::BuildMatchIdentifyingProduct(
-      schema, unsat, ExecBudget{}, LintOptions{}, &diagnostics);
-  EXPECT_FALSE(product.ok());
-  EXPECT_EQ(product.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(CountCode(diagnostics,
+  auto report = LintQueryUnderSchema(schema, unsat, vocab_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(ErrorStatus(report->diagnostics, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CountCode(report->diagnostics,
                       DiagnosticCode::kQueryUnsatisfiableUnderSchema),
             1u);
-
-  LintOptions advisory;
-  advisory.fail_on_error = false;
-  std::vector<Diagnostic> advisory_diags;
-  auto tolerated = schema::BuildMatchIdentifyingProduct(
-      schema, unsat, ExecBudget{}, advisory, &advisory_diags);
-  EXPECT_TRUE(tolerated.ok()) << tolerated.status().ToString();
-  EXPECT_EQ(CountCode(advisory_diags,
-                      DiagnosticCode::kQueryUnsatisfiableUnderSchema),
-            1u);
+  // The transform itself does not lint: it builds the product regardless.
+  auto product = schema::BuildMatchIdentifyingProduct(schema, unsat);
+  EXPECT_TRUE(product.ok()) << product.status().ToString();
 }
 
 TEST_F(LintTest, TransformPreflightPassesSatisfiableQuery) {
   schema::Schema schema = DocSchema();
   query::SelectionQuery sat = ParseQuery("select(*; para sec+ doc)");
-  auto product = schema::BuildMatchIdentifyingProduct(
-      schema, sat, ExecBudget{}, LintOptions{});
+  auto report = LintQueryUnderSchema(schema, sat, vocab_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(ErrorStatus(report->diagnostics, 0).ok());
+  auto product = schema::BuildMatchIdentifyingProduct(schema, sat);
   EXPECT_TRUE(product.ok()) << product.status().ToString();
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "query/selection.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -84,6 +86,10 @@ struct SelectionCase {
   const char* name;
   const char* query;
 };
+
+// Prints a case as its name, so test ids are stable across builds (the
+// default printer dumps the struct's pointer bytes).
+void PrintTo(const SelectionCase& c, std::ostream* os) { *os << c.name; }
 
 class SelectionAgreementTest
     : public ::testing::TestWithParam<SelectionCase> {};

@@ -154,6 +154,19 @@ TEST(SerializeTest, DhaRejectsMalformedInput) {
                      "accept 0\nd 0 0 0\nend\n",
                      vocab)
           .ok());
+  // Header counts whose tables would outgrow the default memory budget are
+  // refused before anything is allocated: the horizontal table (states x
+  // hstates) and the final DFA's rows.
+  for (const char* header :
+       {"dha 1\nstates 4294967295 0\nhstates 4294967295 0\n",
+        "dha 1\nstates 65536 0\nhstates 65536 0\n",
+        "dha 1\nstates 1 0\nhstates 1 0\nfinal 4294967295 0\n"}) {
+    SCOPED_TRACE(header);
+    Result<Dha> loaded =
+        DeserializeDha(StrCat(header, "final 1 0\naccept\nend\n"), vocab);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
   // Accepting state out of range.
   EXPECT_FALSE(
       DeserializeDha("dha 1\nstates 1 0\nhstates 1 0\nfinal 1 0\n"

@@ -180,6 +180,11 @@ CACHE_QUERY='select(*; figure (section|article)*)'
 # (the stage never ran; its counters are pre-registered, the span is not).
 "${HQ}" query "${CACHE_QUERY}" "${CACHE_TMP}/doc.xml" \
   --cache-dir="${CACHE_DIR}" > "${CACHE_TMP}/cold.out"
+# The query's one determinization (the Theorem 4 union NHA) is cached under
+# its own input key, so the cold run leaves exactly one entry.
+cold_entries="$(find "${CACHE_DIR}" -name '*.cert' | wc -l)"
+[[ "${cold_entries}" -eq 1 ]] \
+  || { echo "FAIL: cold run left ${cold_entries} .cert entries, want 1"; exit 1; }
 "${HQ}" query "${CACHE_QUERY}" "${CACHE_TMP}/doc.xml" \
   --cache-dir="${CACHE_DIR}" --metrics="${CACHE_TMP}/warm.json" \
   > "${CACHE_TMP}/warm.out"
@@ -191,10 +196,9 @@ if grep -q '"automata.determinize": {' "${CACHE_TMP}/warm.json"; then
   echo "FAIL: determinize stage span present despite a warm cache hit"
   exit 1
 fi
-# Flip one byte in the middle of every cached entry (the run stores both a
-# PHR-scoped and an input-keyed determinize entry; whichever the load path
-# consults must reject): quarantine with an HQV code (entry + .reason
-# sidecar under corrupt/), recompute, and still answer like the cold run.
+# Flip one byte in the middle of the cached entry: the load path must
+# reject it, quarantine it with an HQV code (entry + .reason sidecar under
+# corrupt/), recompute, and still answer like the cold run.
 for entry in "${CACHE_DIR}"/*.cert; do
   printf '\377' | dd of="${entry}" bs=1 seek=120 conv=notrunc status=none
 done

@@ -196,9 +196,8 @@ int CmdQuery(const std::string& text, bool json) {
   hedge::Vocabulary vocab;
   auto query = query::ParseSelectionQuery(text, vocab);
   if (!query.ok()) return Fail(query.status().ToString());
-  BudgetScope scope{ExecBudget{}};
   query::PhrWitness witness;
-  auto compiled = query::CompilePhr(query->envelope, scope, &witness);
+  auto compiled = query::CompilePhr(query->envelope, {}, &witness);
   if (!compiled.ok()) return Fail(compiled.status().ToString());
   automata::Determinized det{compiled->dha(), compiled->subsets()};
   std::vector<lint::Diagnostic> all;
