@@ -4,13 +4,17 @@
 
 #include "bench/bench_util.h"
 #include "query/evaluator.h"
+#include "query/lazy_phr.h"
 
 namespace hedgeq {
 namespace {
 
+// Locate on the article by `Engine`: the PhrEvaluator (eager here), or the
+// lazy engine it degrades to.
+template <typename Engine = query::PhrEvaluator>
 void RunLocate(benchmark::State& state, const query::SelectionQuery& q,
                hedge::Vocabulary& vocab) {
-  auto evaluator = query::PhrEvaluator::Create(q.envelope);
+  auto evaluator = Engine::Create(q.envelope);
   if (!evaluator.ok()) {
     state.SkipWithError(evaluator.status().ToString().c_str());
     return;
@@ -50,6 +54,32 @@ void BM_LocateSiblingCondition(benchmark::State& state) {
   RunLocate(state, q, vocab);
 }
 BENCHMARK(BM_LocateSiblingCondition)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The lazy engine (Algorithm 1 over on-demand tables) on the same queries
+// and sizes.
+void BM_LocateLazyPath(benchmark::State& state) {
+  hedge::Vocabulary vocab;
+  query::SelectionQuery q = hedgeq::bench::FigurePathQuery(vocab);
+  RunLocate<query::LazyPhrEvaluator>(state, q, vocab);
+}
+BENCHMARK(BM_LocateLazyPath)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_LocateLazyFigureCaption(benchmark::State& state) {
+  hedge::Vocabulary vocab;
+  query::SelectionQuery q = hedgeq::bench::FigureCaptionQuery(vocab);
+  RunLocate<query::LazyPhrEvaluator>(state, q, vocab);
+}
+BENCHMARK(BM_LocateLazyFigureCaption)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)

@@ -39,70 +39,6 @@ using strre::StateId;
 
 namespace {
 
-// Letters appearing on some accepting path of `nfa` restricted to letters
-// in `allowed`.
-Bitset UsableLetters(const Nfa& nfa, const Bitset& allowed,
-                     size_t num_letters) {
-  Bitset usable(num_letters);
-  if (nfa.num_states() == 0 || nfa.start() == strre::kNoState) return usable;
-  auto letter_ok = [&](strre::Symbol p) {
-    return p < allowed.size() && allowed.Test(p);
-  };
-  Bitset fwd(nfa.num_states());
-  std::deque<StateId> queue;
-  fwd.Set(nfa.start());
-  queue.push_back(nfa.start());
-  while (!queue.empty()) {
-    StateId s = queue.front();
-    queue.pop_front();
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol) && !fwd.Test(t.to)) {
-        fwd.Set(t.to);
-        queue.push_back(t.to);
-      }
-    }
-    for (StateId t : nfa.EpsilonsFrom(s)) {
-      if (!fwd.Test(t)) {
-        fwd.Set(t);
-        queue.push_back(t);
-      }
-    }
-  }
-  std::vector<std::vector<StateId>> rev(nfa.num_states());
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol)) rev[t.to].push_back(s);
-    }
-    for (StateId t : nfa.EpsilonsFrom(s)) rev[t].push_back(s);
-  }
-  Bitset bwd(nfa.num_states());
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    if (nfa.IsAccepting(s)) {
-      bwd.Set(s);
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    StateId s = queue.front();
-    queue.pop_front();
-    for (StateId t : rev[s]) {
-      if (!bwd.Test(t)) {
-        bwd.Set(t);
-        queue.push_back(t);
-      }
-    }
-  }
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    if (!fwd.Test(s)) continue;
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol) && bwd.Test(t.to) && t.symbol < num_letters) {
-        usable.Set(t.symbol);
-      }
-    }
-  }
-  return usable;
-}
-
 // Keeps only transitions on allowed letters, renaming letters via `rename`
 // (kNoState-valued renames drop the transition).
 Nfa FilterAndRename(const Nfa& in, const std::vector<HState>& rename) {
@@ -125,42 +61,28 @@ Nfa FilterAndRename(const Nfa& in, const std::vector<HState>& rename) {
 // Product of two content NFAs reading pair letters p1 * n + p2, where n is
 // the state count of the underlying NHA.
 Nfa PairContentNfa(const Nfa& a, const Nfa& b, size_t n) {
-  Nfa out;
-  const size_t nb = b.num_states();
-  for (size_t i = 0; i < a.num_states() * nb; ++i) out.AddState(false);
-  if (a.num_states() == 0 || b.num_states() == 0 ||
-      a.start() == strre::kNoState || b.start() == strre::kNoState) {
-    return out;
-  }
-  auto pid = [nb](StateId sa, StateId sb) {
-    return static_cast<StateId>(sa * nb + sb);
-  };
-  out.SetStart(pid(a.start(), b.start()));
-  for (StateId sa = 0; sa < a.num_states(); ++sa) {
-    for (StateId sb = 0; sb < b.num_states(); ++sb) {
-      if (a.IsAccepting(sa) && b.IsAccepting(sb)) {
-        out.SetAccepting(pid(sa, sb), true);
-      }
-      for (StateId ta : a.EpsilonsFrom(sa)) {
-        out.AddEpsilon(pid(sa, sb), pid(ta, sb));
-      }
-      for (StateId tb : b.EpsilonsFrom(sb)) {
-        out.AddEpsilon(pid(sa, sb), pid(sa, tb));
-      }
-      for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
-        for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
-          out.AddTransition(pid(sa, sb),
-                            static_cast<strre::Symbol>(ta.symbol * n +
-                                                       tb.symbol),
-                            pid(ta.to, tb.to));
-        }
-      }
-    }
-  }
-  return out;
+  return strre::ProductNfa(a, b, [n](strre::Symbol x, strre::Symbol y) {
+    return std::optional<strre::Symbol>(static_cast<strre::Symbol>(x * n + y));
+  });
 }
 
 }  // namespace
+
+Bitset CoReachableStates(const Nha& nha, const Bitset& derivable) {
+  const size_t n = nha.num_states();
+  Bitset co = strre::UsableLetters(nha.final_nfa(), derivable, n);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const Nha::Rule& rule : nha.rules()) {
+      if (!co.Test(rule.target)) continue;
+      Bitset before = co;
+      co |= strre::UsableLetters(rule.content, derivable, n);
+      if (!(co == before)) changed = true;
+    }
+  }
+  return co;
+}
 
 Nha PruneNha(const Nha& nha, std::vector<HState>* mapping,
              TrimWitness* witness) {
@@ -168,22 +90,8 @@ Nha PruneNha(const Nha& nha, std::vector<HState>* mapping,
   const size_t n = nha.num_states();
   Bitset derivable = ReachableStates(nha);
 
-  // Co-reachability: seeded from the final language, propagated through
-  // contents of co-reachable targets.
-  Bitset co = UsableLetters(nha.final_nfa(), derivable, n);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Nha::Rule& rule : nha.rules()) {
-      if (!co.Test(rule.target)) continue;
-      Bitset usable = UsableLetters(rule.content, derivable, n);
-      Bitset before = co;
-      co |= usable;
-      if (!(co == before)) changed = true;
-    }
-  }
   Bitset useful = derivable;
-  useful &= co;
+  useful &= CoReachableStates(nha, derivable);
 
   // Dense renumbering of the surviving states.
   std::vector<HState> rename(n, strre::kNoState);

@@ -33,6 +33,11 @@ TrimValidationHook GetTrimValidationHook();
 /// non-null it receives old-state -> new-state (strre::kNoState for
 /// dropped states), so per-state annotations (marks) can follow. When
 /// `witness` is non-null it receives the trim certificate.
+/// Co-reachability: the states that occur in some accepting computation
+/// over `derivable` states, seeded from the final language and propagated
+/// through the contents of co-reachable targets.
+Bitset CoReachableStates(const Nha& nha, const Bitset& derivable);
+
 Nha PruneNha(const Nha& nha, std::vector<HState>* mapping = nullptr,
              TrimWitness* witness = nullptr);
 

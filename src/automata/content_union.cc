@@ -1,28 +1,19 @@
 #include "automata/content_union.h"
 
-namespace hedgeq::automata {
+#include "strre/ops.h"
 
-using strre::Nfa;
+namespace hedgeq::automata {
 
 CombinedContent CombineContents(const Nha& nha) {
   CombinedContent out;
   for (uint32_t rule_index = 0; rule_index < nha.rules().size();
        ++rule_index) {
     const Nha::Rule& rule = nha.rules()[rule_index];
-    strre::StateId offset = static_cast<strre::StateId>(out.nfa.num_states());
+    const strre::StateId offset = strre::CopyInto(rule.content, out.nfa);
     for (strre::StateId s = 0; s < rule.content.num_states(); ++s) {
-      out.nfa.AddState(false);
       out.accept_info.emplace_back();
       if (rule.content.IsAccepting(s)) {
         out.accept_info.back().push_back(rule_index);
-      }
-    }
-    for (strre::StateId s = 0; s < rule.content.num_states(); ++s) {
-      for (const Nfa::Transition& t : rule.content.TransitionsFrom(s)) {
-        out.nfa.AddTransition(offset + s, t.symbol, offset + t.to);
-      }
-      for (strre::StateId t : rule.content.EpsilonsFrom(s)) {
-        out.nfa.AddEpsilon(offset + s, offset + t);
       }
     }
     out.starts.push_back(rule.content.start() == strre::kNoState

@@ -14,7 +14,7 @@ namespace hedgeq::automata {
 /// at once. Shared by the eager subset construction (Theorem 1,
 /// automata/determinize.cc) and the lazy engine (automata/lazy_dha.cc).
 struct CombinedContent {
-  strre::Nfa nfa;  // letters are NHA state ids; no start/accept used
+  strre::Nfa nfa;  // letters are NHA state ids; start and accept unused
   std::vector<strre::StateId> starts;  // one per rule
   // accept_info[s]: rules (by index) whose content accepts at combined
   // state s.

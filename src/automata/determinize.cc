@@ -10,6 +10,7 @@
 #include "automata/content_union.h"
 #include "obs/catalogue.h"
 #include "obs/obs.h"
+#include "strre/lazy_dfa.h"
 #include "strre/ops.h"
 #include "util/check.h"
 #include "util/digest.h"
@@ -70,81 +71,59 @@ Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
   HEDGEQ_RETURN_IF_ERROR(
       scope.ChargeBytes(ncomb * 16 + nq * 8, "determinize"));
 
-  // --- DHA states: canonical subsets of NHA states. Sink (empty) is id 0.
-  std::unordered_map<Bitset, HState, BitsetHash> subset_ids;
-  std::vector<Bitset> subsets;
-  auto intern_subset = [&](Bitset subset) -> HState {
-    auto it = subset_ids.find(subset);
-    if (it != subset_ids.end()) {
-      ++obs_interned_hits;
-      return it->second;
-    }
-    HState id = static_cast<HState>(subsets.size());
-    subset_ids.emplace(subset, id);
-    subsets.push_back(std::move(subset));
-    return id;
-  };
-  // Each interned subset lives twice (map key + vector) plus map overhead.
-  auto charge_subsets = [&](size_t prev) -> Status {
-    if (subsets.size() == prev) return Status::Ok();
+  // Charges the sets `pool` interned since it held `prev`: each lives twice
+  // (map key and vector) plus map overhead.
+  auto charge = [&](const strre::BitsetPool& pool, size_t prev) -> Status {
+    if (pool.size() == prev) return Status::Ok();
     HEDGEQ_RETURN_IF_ERROR(
-        scope.ChargeStates(subsets.size() - prev, "determinize"));
+        scope.ChargeStates(pool.size() - prev, "determinize"));
     size_t bytes = 0;
-    for (size_t i = prev; i < subsets.size(); ++i) {
-      bytes += 2 * subsets[i].ApproxBytes() + 32;
+    for (size_t i = prev; i < pool.size(); ++i) {
+      bytes += 2 * pool[static_cast<uint32_t>(i)].ApproxBytes() + 32;
     }
     return scope.ChargeBytes(bytes, "determinize");
   };
-  intern_subset(Bitset(nq));  // sink = empty subset
+  // Interns into `pool`, counting the sets found already interned.
+  auto intern = [&](strre::BitsetPool& pool, Bitset set) -> uint32_t {
+    const size_t before = pool.size();
+    const uint32_t id = pool.Intern(std::move(set));
+    if (pool.size() == before) ++obs_interned_hits;
+    return id;
+  };
+
+  // --- DHA states: canonical subsets of NHA states. Sink (empty) is id 0.
+  strre::BitsetPool subsets;
+  intern(subsets, Bitset(nq));  // sink = empty subset
 
   // Variable/substitution subsets are DHA letters from the start.
   std::unordered_map<hedge::VarId, HState> var_sid;
   for (const auto& [x, states] : nha.var_map()) {
     Bitset b(nq);
     for (HState q : states) b.Set(q);
-    var_sid[x] = intern_subset(std::move(b));
+    var_sid[x] = intern(subsets, std::move(b));
   }
   std::unordered_map<hedge::SubstId, HState> subst_sid;
   for (const auto& [z, states] : nha.subst_map()) {
     Bitset b(nq);
     for (HState q : states) b.Set(q);
-    subst_sid[z] = intern_subset(std::move(b));
+    subst_sid[z] = intern(subsets, std::move(b));
   }
-  HEDGEQ_RETURN_IF_ERROR(charge_subsets(0));
+  HEDGEQ_RETURN_IF_ERROR(charge(subsets, 0));
 
   // --- Horizontal states: epsilon-closed sets of combined-content states.
-  std::unordered_map<Bitset, HhState, BitsetHash> h_ids;
-  std::vector<Bitset> h_sets;
+  strre::BitsetPool h_sets;
   auto intern_h = [&](Bitset set) -> HhState {
     ++obs_closure_recomputations;
-    combined.nfa.EpsilonClosure(set);
-    auto it = h_ids.find(set);
-    if (it != h_ids.end()) {
-      ++obs_interned_hits;
-      return it->second;
-    }
-    HhState id = static_cast<HhState>(h_sets.size());
-    h_ids.emplace(set, id);
-    h_sets.push_back(std::move(set));
-    return id;
-  };
-  auto charge_h = [&](size_t prev) -> Status {
-    if (h_sets.size() == prev) return Status::Ok();
-    HEDGEQ_RETURN_IF_ERROR(
-        scope.ChargeStates(h_sets.size() - prev, "determinize"));
-    size_t bytes = 0;
-    for (size_t i = prev; i < h_sets.size(); ++i) {
-      bytes += 2 * h_sets[i].ApproxBytes() + 32;
-    }
-    return scope.ChargeBytes(bytes, "determinize");
+    return intern(h_sets, std::move(set));
   };
   Bitset h0(ncomb);
   for (strre::StateId s : combined.starts) {
     if (s != strre::kNoState) h0.Set(s);
   }
+  combined.nfa.EpsilonClosure(h0);
   HhState h_start = intern_h(std::move(h0));
   HEDGEQ_CHECK(h_start == 0);
-  HEDGEQ_RETURN_IF_ERROR(charge_h(0));
+  HEDGEQ_RETURN_IF_ERROR(charge(h_sets, 0));
 
   // assign_table[h] : symbol -> subset id reached after the rules accepting
   // at h fire. h_trans[h] : subset id -> next horizontal state.
@@ -173,11 +152,11 @@ Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
       }
       std::map<hedge::SymbolId, HState> row;
       for (auto& [symbol, bits] : per_symbol) {
-        row[symbol] = intern_subset(std::move(bits));
+        row[symbol] = intern(subsets, std::move(bits));
       }
       HEDGEQ_RETURN_IF_ERROR(
           scope.ChargeSteps(hs.Count() + row.size() + 1, "determinize"));
-      HEDGEQ_RETURN_IF_ERROR(charge_subsets(prev_subsets));
+      HEDGEQ_RETURN_IF_ERROR(charge(subsets, prev_subsets));
       assign_table.push_back(std::move(row));
       ++h_assigned;
       progress = true;
@@ -192,20 +171,12 @@ Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
         HState sid = static_cast<HState>(h_trans[hs].size());
         const Bitset& letter = subsets[sid];
         const size_t prev_h = h_sets.size();
-        Bitset next(ncomb);
-        size_t steps = 1;
-        for (uint32_t cs : h_sets[hs].ToVector()) {
-          for (const Nfa::Transition& t :
-               combined.nfa.TransitionsFrom(cs)) {
-            ++steps;
-            if (t.symbol < letter.size() && letter.Test(t.symbol)) {
-              next.Set(t.to);
-            }
-          }
-        }
+        Bitset next;
+        const size_t scanned =
+            strre::StepOverSet(combined.nfa, h_sets[hs], letter, next);
         h_trans[hs].push_back(intern_h(std::move(next)));
-        HEDGEQ_RETURN_IF_ERROR(scope.ChargeSteps(steps, "determinize"));
-        HEDGEQ_RETURN_IF_ERROR(charge_h(prev_h));
+        HEDGEQ_RETURN_IF_ERROR(scope.ChargeSteps(1 + scanned, "determinize"));
+        HEDGEQ_RETURN_IF_ERROR(charge(h_sets, prev_h));
         // The dense transition matrix entry itself.
         HEDGEQ_RETURN_IF_ERROR(
             scope.ChargeBytes(sizeof(HhState), "determinize"));
@@ -234,7 +205,8 @@ Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
                             GetDeterminizeValidationHook() != nullptr;
   std::vector<Bitset> final_sets;
   Result<strre::Dfa> final_dfa = LiftToSubsetsBounded(
-      nha.final_nfa(), subsets, scope, want_witness ? &final_sets : nullptr);
+      nha.final_nfa(), subsets.sets(), scope,
+      want_witness ? &final_sets : nullptr);
   if (!final_dfa.ok()) return final_dfa.status();
   // Seeded-bug failpoint for the translation-validation tests: silently
   // corrupt the construction (flip acceptance of the final DFA's start
@@ -249,11 +221,11 @@ Result<Determinized> Determinize(const Nha& nha, BudgetArg budget,
   }
   dha.SetFinalDfa(std::move(final_dfa).value());
 
-  Determinized out{std::move(dha), std::move(subsets)};
+  Determinized out{std::move(dha), subsets.TakeSets()};
   uint64_t certify_ns = 0;
   if (want_witness) {
     DeterminizeWitness local;
-    local.h_sets = std::move(h_sets);
+    local.h_sets = h_sets.TakeSets();
     local.final_sets = std::move(final_sets);
     // Digest chain over every interned set, in the fixed section order the
     // light checker recomputes (subsets, h_sets, final_sets).
@@ -329,67 +301,53 @@ Result<strre::Dfa> LiftToSubsetsBounded(const Nfa& lang,
     return out;
   }
 
-  std::unordered_map<Bitset, strre::StateId, BitsetHash> ids;
-  std::vector<Bitset> worklist;
-
+  strre::BitsetPool sets;  // by lifted state
+  // `set` is epsilon-closed.
   auto intern = [&](Bitset set) -> strre::StateId {
-    lang.EpsilonClosure(set);
-    auto it = ids.find(set);
-    if (it != ids.end()) return it->second;
-    bool accepting = false;
-    for (uint32_t s : set.ToVector()) {
-      if (lang.IsAccepting(s)) {
-        accepting = true;
-        break;
-      }
+    const size_t before = sets.size();
+    const strre::StateId id = sets.Intern(std::move(set));
+    if (sets.size() > before) {
+      bool accepting = false;
+      for (uint32_t s : sets[id].ToVector()) accepting |= lang.IsAccepting(s);
+      out.AddState(accepting);
     }
-    strre::StateId id = out.AddState(accepting);
-    ids.emplace(set, id);
-    worklist.push_back(std::move(set));
     return id;
   };
   size_t table_bytes = 0;
   auto charge = [&](size_t prev) -> Status {
     HEDGEQ_RETURN_IF_ERROR(strre::ChargeTableGrowth(out, table_bytes, scope,
                                                     "determinize/lift"));
-    if (worklist.size() == prev) return Status::Ok();
+    if (sets.size() == prev) return Status::Ok();
     HEDGEQ_RETURN_IF_ERROR(
-        scope.ChargeStates(worklist.size() - prev, "determinize/lift"));
+        scope.ChargeStates(sets.size() - prev, "determinize/lift"));
     size_t bytes = 0;
-    for (size_t i = prev; i < worklist.size(); ++i) {
-      bytes += 2 * worklist[i].ApproxBytes() + 32;
+    for (size_t i = prev; i < sets.size(); ++i) {
+      bytes += 2 * sets[static_cast<uint32_t>(i)].ApproxBytes() + 32;
     }
     return scope.ChargeBytes(bytes, "determinize/lift");
   };
 
   Bitset start(lang.num_states());
   start.Set(lang.start());
+  lang.EpsilonClosure(start);
   intern(std::move(start));
   HEDGEQ_RETURN_IF_ERROR(charge(0));
 
-  for (size_t wi = 0; wi < worklist.size(); ++wi) {
-    Bitset current = worklist[wi];  // copy: worklist grows during the loop
-    strre::StateId from = ids.at(current);
+  for (strre::StateId from = 0; from < sets.size(); ++from) {
+    const Bitset current = sets[from];  // a copy: the pool grows below
     for (strre::Symbol sid = 0; sid < subsets.size(); ++sid) {
-      const Bitset& letter = subsets[sid];
-      const size_t prev = worklist.size();
-      Bitset next(lang.num_states());
-      size_t steps = 1;
-      for (uint32_t s : current.ToVector()) {
-        for (const Nfa::Transition& t : lang.TransitionsFrom(s)) {
-          ++steps;
-          if (t.symbol < letter.size() && letter.Test(t.symbol)) {
-            next.Set(t.to);
-          }
-        }
-      }
+      const size_t prev = sets.size();
+      Bitset next;
+      const size_t scanned =
+          strre::StepOverSet(lang, current, subsets[sid], next);
       out.SetTransition(from, sid, intern(std::move(next)));
-      HEDGEQ_RETURN_IF_ERROR(scope.ChargeSteps(steps, "determinize/lift"));
+      HEDGEQ_RETURN_IF_ERROR(
+          scope.ChargeSteps(1 + scanned, "determinize/lift"));
       HEDGEQ_RETURN_IF_ERROR(charge(prev));
     }
   }
-  // worklist[i] is the epsilon-closed NFA state set of DFA state i.
-  if (state_sets != nullptr) *state_sets = std::move(worklist);
+  // The epsilon-closed NFA state set of each lifted state.
+  if (state_sets != nullptr) *state_sets = sets.TakeSets();
   return out;
 }
 

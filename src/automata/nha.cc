@@ -186,42 +186,15 @@ Nha IntersectNha(const Nha& a, const Nha& b) {
     return static_cast<HState>(qa * nb + qb);
   };
 
-  // Product of two content NFAs reading pair letters.
-  auto product_content = [&](const Nfa& ca, const Nfa& cb) {
-    Nfa prod;
-    const size_t pb = cb.num_states();
-    for (size_t i = 0; i < ca.num_states() * pb; ++i) prod.AddState(false);
-    if (ca.num_states() == 0 || cb.num_states() == 0) return prod;
-    auto pid = [pb](uint32_t sa, uint32_t sb) {
-      return static_cast<strre::StateId>(sa * pb + sb);
-    };
-    prod.SetStart(pid(ca.start(), cb.start()));
-    for (uint32_t sa = 0; sa < ca.num_states(); ++sa) {
-      for (uint32_t sb = 0; sb < cb.num_states(); ++sb) {
-        if (ca.IsAccepting(sa) && cb.IsAccepting(sb)) {
-          prod.SetAccepting(pid(sa, sb), true);
-        }
-        for (uint32_t ta : ca.EpsilonsFrom(sa)) {
-          prod.AddEpsilon(pid(sa, sb), pid(ta, sb));
-        }
-        for (uint32_t tb : cb.EpsilonsFrom(sb)) {
-          prod.AddEpsilon(pid(sa, sb), pid(sa, tb));
-        }
-        for (const Nfa::Transition& ta : ca.TransitionsFrom(sa)) {
-          for (const Nfa::Transition& tb : cb.TransitionsFrom(sb)) {
-            prod.AddTransition(pid(sa, sb), encode(ta.symbol, tb.symbol),
-                               pid(ta.to, tb.to));
-          }
-        }
-      }
-    }
-    return prod;
+  // The product's content NFAs read pair letters.
+  auto pair = [&](strre::Symbol x, strre::Symbol y) {
+    return std::optional<strre::Symbol>(encode(x, y));
   };
 
   for (const Nha::Rule& ra : a.rules()) {
     for (const Nha::Rule& rb : b.rules()) {
       if (ra.symbol != rb.symbol) continue;
-      out.AddRule(ra.symbol, product_content(ra.content, rb.content),
+      out.AddRule(ra.symbol, strre::ProductNfa(ra.content, rb.content, pair),
                   encode(ra.target, rb.target));
     }
   }
@@ -239,7 +212,7 @@ Nha IntersectNha(const Nha& a, const Nha& b) {
       }
     }
   }
-  out.SetFinal(product_content(a.final_nfa(), b.final_nfa()));
+  out.SetFinal(strre::ProductNfa(a.final_nfa(), b.final_nfa(), pair));
   return out;
 }
 

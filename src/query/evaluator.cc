@@ -5,13 +5,13 @@
 #include "obs/catalogue.h"
 #include "obs/obs.h"
 #include "obs/scope.h"
+#include "query/locate.h"
 #include "util/failpoint.h"
 
 namespace hedgeq::query {
 
 using automata::HState;
 using hedge::Hedge;
-using hedge::kNullNode;
 using hedge::NodeId;
 
 namespace {
@@ -75,6 +75,33 @@ class GroupClasses {
   std::vector<uint32_t> elder_, younger_;
 };
 
+// The eager engine's tables for LocateWith: CompiledPhr's M, == and N.
+class EagerTables {
+ public:
+  static constexpr bool kLazy = false;
+
+  explicit EagerTables(const CompiledPhr& c)
+      : c_(c), mirror_(c.mirror().view()) {}
+
+  std::vector<HState> RunM(const Hedge& doc) const { return c_.dha().Run(doc); }
+  bool single_class() const { return c_.num_classes() == 1; }
+  GroupClasses SiblingClasses() const { return GroupClasses(c_.equiv()); }
+  EagerTables N() const { return *this; }
+  strre::StateId top() const { return c_.mirror().start(); }
+  strre::StateId Step(strre::StateId from, uint32_t elder,
+                      hedge::SymbolId label, uint32_t younger) const {
+    const uint32_t si = c_.SymbolIndex(label);
+    if (si == kNoSymbol) return strre::kNoState;
+    const strre::Symbol letter = c_.EncodeLetter(elder, si, younger);
+    return mirror_.Row(from)[mirror_.Column(letter)];
+  }
+  bool IsAccepting(strre::StateId s) const { return mirror_.IsAccepting(s); }
+
+ private:
+  const CompiledPhr& c_;
+  const strre::Dfa::View mirror_;
+};
+
 }  // namespace
 
 SiblingClasses ComputeSiblingClasses(const Hedge& doc,
@@ -133,66 +160,8 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
     HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalFallbackRuns, 1);
     return lazy_->Locate(doc);
   }
-  // First traversal: bottom-up state assignment by M.
-  std::vector<HState> states;
-  {
-    HEDGEQ_OBS_SPAN(pass1, obs::spans::kPhrEvalPass1);
-    states = compiled_->dha().Run(doc);
-    if (obs::Enabled()) {
-      HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalPass1Nodes, doc.num_nodes());
-      pass1.AddArg("nodes", doc.num_nodes());
-    }
-  }
-  HEDGEQ_OBS_SPAN(pass2, obs::spans::kPhrEvalPass2);
-
-  // Second traversal: a top-down run of N, which accepts the mirror of L,
-  // so feeding triplets from the top level toward the node evaluates the
-  // bottom-to-top decomposition sequence. Arena ids ascend from parents to
-  // children, so a forward sweep finds every parent's state final.
-  const CompiledPhr& c = *compiled_;
-  const strre::Dfa::View mirror = c.mirror().view();
-  const strre::StateId top = c.mirror().start();
-  std::vector<strre::StateId> nstate(doc.num_nodes(), strre::kNoState);
-  std::vector<bool> located(doc.num_nodes(), false);
-  // N's state at the parent of a node, kNoState on a dead branch.
-  auto from = [&](NodeId parent) {
-    return parent == kNullNode ? top : nstate[parent];
-  };
-  // One step of N into symbol node `n` whose siblings fall into the given
-  // classes.
-  auto step = [&](NodeId n, strre::StateId parent_state, uint32_t elder,
-                  uint32_t younger) {
-    const uint32_t si = c.SymbolIndex(doc.label(n).id);
-    if (si == CompiledPhr::kNoSymbol) return;  // label in no triplet
-    const strre::StateId to = mirror.Row(
-        parent_state)[mirror.Column(c.EncodeLetter(elder, si, younger))];
-    nstate[n] = to;
-    located[n] = to != strre::kNoState && mirror.IsAccepting(to);
-  };
-  if (c.num_classes() == 1) {
-    // Every letter has class 0 on both sides, so N steps node by node in
-    // arena order with no sibling walk (chasing sibling links costs more
-    // than the rest of this sweep).
-    for (NodeId n = 0; n < doc.num_nodes(); ++n) {
-      if (doc.label(n).kind != hedge::LabelKind::kSymbol) continue;
-      const strre::StateId parent_state = from(doc.parent(n));
-      if (parent_state != strre::kNoState) step(n, parent_state, 0, 0);
-    }
-  } else {
-    // One sweep over the sibling groups: the group's classes into shared
-    // buffers, then N's step into each member. A dead parent's group is
-    // skipped whole, since nothing below it can match.
-    GroupClasses group(c.equiv());
-    hedge::ForEachSiblingGroup(doc, [&](std::span<const NodeId> kids) {
-      const strre::StateId parent_state = from(doc.parent(kids.front()));
-      if (parent_state == strre::kNoState) return;
-      group.Compute(kids, states.data());
-      for (size_t j = 0; j < kids.size(); ++j) {
-        if (doc.label(kids[j]).kind != hedge::LabelKind::kSymbol) continue;
-        step(kids[j], parent_state, group.elder(j), group.younger(j));
-      }
-    });
-  }
+  EagerTables tables(*compiled_);
+  std::vector<bool> located = LocateWith(tables, doc);
   // Seeded-bug probe: report a wrong node set (the first symbol node
   // flipped) so the selection oracle must catch the eager engine lying.
   if (!failpoint::Check("phr/select-wrong-node").ok()) {
@@ -202,14 +171,6 @@ std::vector<bool> PhrEvaluator::Locate(const Hedge& doc) const {
         break;
       }
     }
-  }
-  if (obs::Enabled()) {
-    size_t hits = 0;
-    for (NodeId n = 0; n < doc.num_nodes(); ++n) hits += located[n] ? 1 : 0;
-    HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalPass2Nodes, doc.num_nodes());
-    HEDGEQ_OBS_COUNT(obs::metrics::kPhrEvalLocated, hits);
-    pass2.AddArg("nodes", doc.num_nodes());
-    pass2.AddArg("located", hits);
   }
   return located;
 }

@@ -41,13 +41,16 @@ SiblingClasses ComputeSiblingClasses(const hedge::Hedge& doc,
 /// of N, the same automata the checker certifies. A Locate
 /// allocates M's states, N's states and the output, plus buffers that grow
 /// with the largest sibling group: O(1) allocations, never one per node.
+/// The traversals are query::LocateWith (query/locate.h), the one body
+/// that both engines instantiate on their tables.
 ///
 /// Robustness: Create first attempts the eager Theorem 4 compilation under
 /// `budget`; if (and only if) that fails with a degradable status
 /// (IsDegradable: kResourceExhausted or kDeadlineExceeded) it falls back
-/// transparently to the LazyPhrEvaluator, which answers the same
-/// queries with bounded memory. Inspect fallback_used()/stats() to learn
-/// which engine is active and what it spent.
+/// transparently to the LazyPhrEvaluator, which runs the same Algorithm 1
+/// over the Theorem 4 tables filled on demand, with bounded memory. Inspect
+/// fallback_used()/stats() to learn which engine is active and what it
+/// spent.
 class PhrEvaluator {
  public:
   explicit PhrEvaluator(CompiledPhr compiled) : compiled_(std::move(compiled)) {}

@@ -13,29 +13,27 @@
 
 namespace hedgeq::query {
 
-/// Graceful-degradation evaluator for pointed hedge representations: the
-/// class-free counterpart of Algorithm 1 that skips every exponential
-/// Theorem 4 artifact (no determinization of M, no class product, no mirror
-/// DFA). Construction is linear in the representation; evaluation memoizes
-/// subset steps in a LazyDha whose cache is LRU-bounded, so memory stays
-/// bounded no matter how adversarial the query is — at the price of a
-/// per-step set simulation instead of a table lookup.
-///
-/// Where the eager pipeline summarizes sibling words by equivalence classes
-/// and decomposition paths by the mirror DFA N, this evaluator simulates
-/// the underlying NFAs directly:
-///  1. bottom-up: LazyDha::Run assigns every node its subset of M's NFA
-///     states (the Definition 7 state set);
-///  2. per sibling group: a forward set simulation of each elder final
-///     language and a backward simulation of each reversed younger final
-///     language decide, per node and triplet, whether the elder/younger
-///     sibling words lie in F_i1/F_i2 (exactly what the saturated classes
-///     encode);
-///  3. top-down: a set simulation of the reversed triplet regex over the
-///     per-node sets of admissible triplets (exactly the letters whose xi
-///     image the eager mirror DFA could consume).
-/// Locate returns the same vector as PhrEvaluator's eager path; the
-/// equivalence is exercised by the lazy-vs-eager randomized tests.
+/// Graceful-degradation evaluator for pointed hedge representations:
+/// Algorithm 1 over the Theorem 4 tables filled on demand, with no
+/// exponential preprocessing. Create runs only the Theorem 4 front end
+/// (BuildPhrFrontEnd), which is linear in the representation. Locate runs
+/// the one Algorithm 1 body (query/locate.h) that the eager engine runs,
+/// over these tables:
+///  - M: the on-the-fly subset engine LazyDha, with each node's subset
+///    interned to a dense id;
+///  - the == classes: an elder product, a strre::LazyDfa over the disjoint
+///    union of the F_i1 NFAs run forward along each sibling group, and a
+///    younger product, one over the reversed F_i2 NFAs run backward; a
+///    class is a set of their states, and it lies in F_i1 (F_i2) iff it
+///    holds an accepting state of triplet i's part;
+///  - N: a strre::LazyDfa of the reversed triplet regex, whose letter at a
+///    node is the set of triplets its label and sibling classes admit.
+/// Every id is pinned for one Locate: the interned sets are run scratch,
+/// bounded by the node count and dropped when the call returns. Only rows
+/// are cached, and they flush all at once when their bytes pass half of
+/// LazyOptionsFor(budget).max_cache_bytes; LazyDha's memo gets the other
+/// half. Locate returns the same vector as the eager PhrEvaluator; the
+/// lazy-vs-eager tests check it.
 class LazyPhrEvaluator {
  public:
   /// Never exponential: fails only when the triplet expressions themselves
@@ -48,21 +46,37 @@ class LazyPhrEvaluator {
   /// representation; identical to the eager PhrEvaluator::Locate.
   std::vector<bool> Locate(const hedge::Hedge& doc) const;
 
-  /// Lazy-engine expenditure (cache hits/misses/evictions, peak bytes);
-  /// fallback_used is set by the caller that chose this engine.
-  const automata::EvalStats& stats() const { return lazy_->stats(); }
-  const automata::LazyDha& lazy_dha() const { return *lazy_; }
+  /// Lazy-engine expenditure, M's memo and the rows together (cache
+  /// hits/misses/evictions, peak bytes); fallback_used is set by the caller
+  /// that chose this engine.
+  automata::EvalStats stats() const {
+    return automata::EvalStats::Sum(lazy_->stats(), rows_stats_);
+  }
 
  private:
+  class Tables;
+
+  // One side's sibling conditions as one NFA.
+  struct Conditions {
+    strre::Nfa nfa;  // the disjoint union of the triplets' NFAs
+    Bitset start;    // the union of their start states
+    std::vector<Bitset> accepting;  // per triplet, its part's accepting states
+    Bitset any;      // the triplets with no condition on this side
+  };
+  static Conditions Union(const std::vector<strre::Nfa>& parts,
+                          const std::vector<bool>& any);
+
   LazyPhrEvaluator() = default;
 
-  std::optional<automata::LazyDha> lazy_;  // shared M as an on-the-fly engine
-  std::vector<strre::Nfa> elder_final_;    // F_i1 over M's (union NHA) states
-  std::vector<strre::Nfa> younger_rev_;    // mirror of F_i2, run right-to-left
-  std::vector<bool> elder_any_;            // triplet i has no elder condition
-  std::vector<bool> younger_any_;
-  std::vector<hedge::SymbolId> labels_;    // triplet labels, by index
+  std::optional<automata::LazyDha> lazy_;  // M over the union NHA
+  Conditions elder_;                       // F_i1, read left to right
+  Conditions younger_;                     // mirrors of F_i2, right to left
+  std::vector<uint32_t> symbol_index_;     // by SymbolId, as CompiledPhr's
+  std::vector<Bitset> label_triplets_;     // by symbol index
   strre::Nfa rev_regex_;  // mirror of the triplet regex, run top-down
+  Bitset rev_regex_start_;
+  size_t row_cap_ = 0;
+  mutable automata::EvalStats rows_stats_;
 };
 
 }  // namespace hedgeq::query

@@ -33,12 +33,6 @@ Dfa AcceptAllDfa(size_t alphabet_size) {
   return dfa;
 }
 
-Nfa ShiftLetters(const Nfa& nfa, HState offset) {
-  return strre::SubstituteSets(nfa, [offset](strre::Symbol q) {
-    return std::vector<strre::Symbol>{q + offset};
-  });
-}
-
 // A copy of `dfa` whose start row is flipped over the letters in use: each
 // dead entry leads to the start state, and each live one dies.
 Dfa FlipStartRow(const Dfa& dfa) {
@@ -61,6 +55,49 @@ Dfa FlipStartRow(const Dfa& dfa) {
 }
 
 }  // namespace
+
+Result<PhrFrontEnd> BuildPhrFrontEnd(const phr::Phr& phr, BudgetScope& scope) {
+  // One state set for all M_i1/M_i2 is the paper's "without loss of
+  // generality" step: a disjoint union instead of a full cross product (the
+  // determinization and the class product play the same role).
+  PhrFrontEnd out;
+  const size_t n = phr.triplets().size();
+  out.elder_final.resize(n);
+  out.younger_final.resize(n);
+  out.elder_any.resize(n);
+  out.younger_any.resize(n);
+  // The final NFA of `e` over the union NHA's states.
+  auto final_of = [&](const hre::Hre& e, Nfa& final) -> Status {
+    Result<Nha> m = hre::CompileHre(e, scope);
+    if (!m.ok()) return m.status();
+    const HState offset = automata::CopyNhaInto(*m, out.union_nha);
+    final = strre::SubstituteSets(m->final_nfa(), [offset](strre::Symbol q) {
+      return std::vector<strre::Symbol>{q + offset};
+    });
+    return Status::Ok();
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const phr::PointedBaseRep& t = phr.triplets()[i];
+    out.elder_any[i] = t.elder == nullptr;
+    if (!out.elder_any[i]) {
+      HEDGEQ_RETURN_IF_ERROR(final_of(t.elder, out.elder_final[i]));
+    }
+    out.younger_any[i] = t.younger == nullptr;
+    if (!out.younger_any[i]) {
+      HEDGEQ_RETURN_IF_ERROR(final_of(t.younger, out.younger_final[i]));
+    }
+    if (t.label >= out.symbol_index.size()) {
+      out.symbol_index.resize(t.label + 1, kNoSymbol);
+    }
+    if (out.symbol_index[t.label] == kNoSymbol) {
+      out.symbol_index[t.label] = static_cast<uint32_t>(out.symbols.size());
+      out.symbols.push_back(t.label);
+    }
+  }
+  HEDGEQ_RETURN_IF_ERROR(scope.ChargeBytes(
+      out.symbol_index.size() * sizeof(uint32_t), "phr/xi"));
+  return out;
+}
 
 void SetPhrProductValidationHook(PhrProductValidationHook hook) {
   g_phr_product_hook.store(hook, std::memory_order_relaxed);
@@ -86,43 +123,14 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget,
   }
 
   // --- Shared automaton M: the union NHA of every triplet expression.
-  // Using one state set for all M_i1/M_i2 is the paper's "without loss of
-  // generality" step (disjoint union instead of full cross product; the
-  // subsequent determinization and class product play the same role).
-  Nha union_nha;
-  std::vector<Nfa> elder_final(n);    // over union_nha states
-  std::vector<Nfa> younger_final(n);  // over union_nha states
-  std::vector<bool> elder_any(n, false), younger_any(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    const phr::PointedBaseRep& t = phr.triplets()[i];
-    if (t.elder == nullptr) {
-      elder_any[i] = true;
-    } else {
-      Result<Nha> m = hre::CompileHre(t.elder, scope);
-      if (!m.ok()) return m.status();
-      HState off = automata::CopyNhaInto(*m, union_nha);
-      elder_final[i] = ShiftLetters(m->final_nfa(), off);
-    }
-    if (t.younger == nullptr) {
-      younger_any[i] = true;
-    } else {
-      Result<Nha> m = hre::CompileHre(t.younger, scope);
-      if (!m.ok()) return m.status();
-      HState off = automata::CopyNhaInto(*m, union_nha);
-      younger_final[i] = ShiftLetters(m->final_nfa(), off);
-    }
-  }
-
+  Result<PhrFrontEnd> front = BuildPhrFrontEnd(phr, scope);
+  if (!front.ok()) return front.status();
+  const std::vector<bool>& elder_any = front->elder_any;
+  const std::vector<bool>& younger_any = front->younger_any;
   Result<automata::Determinized> det = Determinize(
-      union_nha, scope, witness != nullptr ? &witness->det : nullptr);
+      front->union_nha, scope, witness != nullptr ? &witness->det : nullptr);
   if (!det.ok()) return det.status();
-  if (witness != nullptr) {
-    witness->union_nha = union_nha;
-    witness->elder_final = elder_final;
-    witness->younger_final = younger_final;
-    witness->elder_any = elder_any;
-    witness->younger_any = younger_any;
-  }
+  if (witness != nullptr) static_cast<PhrFrontEnd&>(*witness) = *front;
   out.dha_ = std::move(det->dha);
   out.subsets_ = std::move(det->subsets);
 
@@ -136,7 +144,7 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget,
       components.push_back(AcceptAllDfa(num_dha_states));
     } else {
       Result<Dfa> lifted =
-          LiftToSubsetsBounded(elder_final[i], out.subsets_, scope);
+          LiftToSubsetsBounded(front->elder_final[i], out.subsets_, scope);
       if (!lifted.ok()) return lifted.status();
       components.push_back(std::move(lifted).value());
     }
@@ -144,7 +152,7 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget,
       components.push_back(AcceptAllDfa(num_dha_states));
     } else {
       Result<Dfa> lifted =
-          LiftToSubsetsBounded(younger_final[i], out.subsets_, scope);
+          LiftToSubsetsBounded(front->younger_final[i], out.subsets_, scope);
       if (!lifted.ok()) return lifted.status();
       components.push_back(std::move(lifted).value());
     }
@@ -167,19 +175,8 @@ Result<CompiledPhr> CompilePhr(const phr::Phr& phr, BudgetArg budget,
     out.younger_ok_[i] = std::move(multi->component_accepts[2 * i + 1]);
   }
 
-  // --- Dense symbol index over the triplet alphabet.
-  std::vector<uint32_t>& symbol_index = out.symbol_index_;
-  for (const phr::PointedBaseRep& t : phr.triplets()) {
-    if (t.label >= symbol_index.size()) {
-      symbol_index.resize(t.label + 1, CompiledPhr::kNoSymbol);
-    }
-    if (symbol_index[t.label] == CompiledPhr::kNoSymbol) {
-      symbol_index[t.label] = static_cast<uint32_t>(out.symbols_.size());
-      out.symbols_.push_back(t.label);
-    }
-  }
-  HEDGEQ_RETURN_IF_ERROR(scope.ChargeBytes(
-      symbol_index.size() * sizeof(uint32_t), "phr/xi"));
+  out.symbols_ = std::move(front->symbols);
+  out.symbol_index_ = std::move(front->symbol_index);
 
   // --- L = xi(L(r)): substitute each triplet letter by its set of
   // (class1, symbol, class2) encodings (the homomorphism image of

@@ -12,23 +12,39 @@
 
 namespace hedgeq::query {
 
-/// Certificate of the Theorem 4 shared determinization: the union NHA that
-/// fed the subset construction (before it was consumed by the pipeline)
-/// plus the determinization witness, so verify::CheckDeterminize can
-/// validate the query compile's central transformation independently.
-struct PhrWitness {
+/// Dense index of a symbol within the triplet alphabet when the symbol
+/// occurs in no triplet (such nodes can never be located).
+inline constexpr uint32_t kNoSymbol = UINT32_MAX;
+
+/// The Theorem 4 front end, shared by CompilePhr and the lazy engine: the
+/// union NHA of every hedge regular expression in the triplets (M before
+/// determinization), each triplet's elder/younger final NFA rewritten over
+/// the union NHA's states (empty when the triplet has no such condition:
+/// see the *_any flags), and the dense index of the triplet alphabet.
+struct PhrFrontEnd {
   automata::Nha union_nha;
-  automata::DeterminizeWitness det;
-  // Theorem 4 class-product extension (verify::CheckPhrProduct): per
-  // triplet, the final NFA of the elder/younger expression rewritten over
-  // the union NHA's states (empty NFA when the triplet has no condition —
-  // see the matching *_any flag), plus the lifted component DFAs exactly
-  // as they fed the synchronous product (components[2i] = elder of triplet
-  // i, components[2i+1] = younger).
   std::vector<strre::Nfa> elder_final;
   std::vector<strre::Nfa> younger_final;
   std::vector<bool> elder_any;
   std::vector<bool> younger_any;
+  std::vector<hedge::SymbolId> symbols;  // by dense index
+  std::vector<uint32_t> symbol_index;    // by SymbolId; kNoSymbol if none
+};
+
+/// Builds the front end under `scope`: linear in the representation, it
+/// fails only when compiling a triplet's expressions exceeds the budget.
+Result<PhrFrontEnd> BuildPhrFrontEnd(const phr::Phr& phr, BudgetScope& scope);
+
+/// Certificate of the Theorem 4 shared determinization: the front end that
+/// fed the subset construction (its union NHA before the pipeline consumed
+/// it) plus the determinization witness, so verify::CheckDeterminize can
+/// validate the query compile's central transformation independently.
+/// Theorem 4 class-product extension (verify::CheckPhrProduct): the
+/// front end's per-triplet final NFAs and *_any flags, plus the lifted
+/// component DFAs exactly as they fed the synchronous product
+/// (components[2i] = elder of triplet i, components[2i+1] = younger).
+struct PhrWitness : PhrFrontEnd {
+  automata::DeterminizeWitness det;
   std::vector<strre::Dfa> components;
 };
 
@@ -49,9 +65,8 @@ struct PhrWitness {
 /// Theorem 5 (schema/match_identify).
 class CompiledPhr {
  public:
-  /// Dense index of a symbol within the triplet alphabet; kNoSymbol when a
-  /// document symbol occurs in no triplet (such nodes can never be located).
-  static constexpr uint32_t kNoSymbol = UINT32_MAX;
+  /// Dense index of a symbol within the triplet alphabet, or kNoSymbol.
+  static constexpr uint32_t kNoSymbol = query::kNoSymbol;
 
   uint32_t num_classes() const { return num_classes_; }
   uint32_t num_symbols() const {

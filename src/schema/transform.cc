@@ -19,76 +19,6 @@ using strre::Nfa;
 
 namespace {
 
-// Letters appearing on some accepting path of `nfa` that uses only
-// derivable letters.
-Bitset UsableLetters(const Nfa& nfa, const Bitset& derivable,
-                     size_t num_letters) {
-  Bitset usable(num_letters);
-  if (nfa.num_states() == 0 || nfa.start() == strre::kNoState) return usable;
-
-  auto letter_ok = [&](strre::Symbol p) {
-    return p < derivable.size() && derivable.Test(p);
-  };
-
-  // Forward reachability over derivable letters.
-  Bitset fwd(nfa.num_states());
-  std::deque<strre::StateId> queue;
-  fwd.Set(nfa.start());
-  queue.push_back(nfa.start());
-  while (!queue.empty()) {
-    strre::StateId s = queue.front();
-    queue.pop_front();
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol) && !fwd.Test(t.to)) {
-        fwd.Set(t.to);
-        queue.push_back(t.to);
-      }
-    }
-    for (strre::StateId t : nfa.EpsilonsFrom(s)) {
-      if (!fwd.Test(t)) {
-        fwd.Set(t);
-        queue.push_back(t);
-      }
-    }
-  }
-
-  // Backward reachability from accepting states (reverse the edges).
-  std::vector<std::vector<strre::StateId>> rev(nfa.num_states());
-  for (strre::StateId s = 0; s < nfa.num_states(); ++s) {
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol)) rev[t.to].push_back(s);
-    }
-    for (strre::StateId t : nfa.EpsilonsFrom(s)) rev[t].push_back(s);
-  }
-  Bitset bwd(nfa.num_states());
-  for (strre::StateId s = 0; s < nfa.num_states(); ++s) {
-    if (nfa.IsAccepting(s) && !bwd.Test(s)) {
-      bwd.Set(s);
-      queue.push_back(s);
-    }
-  }
-  while (!queue.empty()) {
-    strre::StateId s = queue.front();
-    queue.pop_front();
-    for (strre::StateId t : rev[s]) {
-      if (!bwd.Test(t)) {
-        bwd.Set(t);
-        queue.push_back(t);
-      }
-    }
-  }
-
-  for (strre::StateId s = 0; s < nfa.num_states(); ++s) {
-    if (!fwd.Test(s)) continue;
-    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
-      if (letter_ok(t.symbol) && bwd.Test(t.to) && t.symbol < num_letters) {
-        usable.Set(t.symbol);
-      }
-    }
-  }
-  return usable;
-}
-
 enum class LetterAction { kKeep, kDrop, kEpsilon };
 
 // Rewrites transitions per letter: keep, drop, or turn into an epsilon.
@@ -250,7 +180,7 @@ std::optional<SampleMatch> SampleFromProduct(
     size_t rule = 0;
   };
   std::vector<std::optional<Via>> via(n);
-  Bitset from_final = UsableLetters(nha.final_nfa(), derivable, n);
+  Bitset from_final = strre::UsableLetters(nha.final_nfa(), derivable, n);
   for (uint32_t p : from_final.ToVector()) via[p] = Via{true, 0};
   bool changed = true;
   while (changed) {
@@ -258,7 +188,7 @@ std::optional<SampleMatch> SampleFromProduct(
     for (size_t r = 0; r < nha.rules().size(); ++r) {
       const Nha::Rule& rule = nha.rules()[r];
       if (!via[rule.target].has_value()) continue;
-      Bitset usable = UsableLetters(rule.content, derivable, n);
+      Bitset usable = strre::UsableLetters(rule.content, derivable, n);
       for (uint32_t p : usable.ToVector()) {
         if (!via[p].has_value()) {
           via[p] = Via{false, r};
@@ -351,19 +281,7 @@ Schema SelectFromMarkedProduct(Nha nha, const std::vector<bool>& marked) {
   const size_t n = nha.num_states();
   Bitset derivable = automata::ReachableStates(nha);
 
-  // Co-reachability: states that occur in some accepting computation.
-  Bitset co = UsableLetters(nha.final_nfa(), derivable, n);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Nha::Rule& rule : nha.rules()) {
-      if (!co.Test(rule.target)) continue;
-      Bitset usable = UsableLetters(rule.content, derivable, n);
-      Bitset before = co;
-      co |= usable;
-      if (!(co == before)) changed = true;
-    }
-  }
+  const Bitset co = automata::CoReachableStates(nha, derivable);
 
   std::vector<strre::Regex> finals;
   for (size_t p = 0; p < n; ++p) {

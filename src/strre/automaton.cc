@@ -44,6 +44,20 @@ void Nfa::EpsilonClosure(Bitset& states) const {
   }
 }
 
+size_t StepOverSet(const Nfa& nfa, const Bitset& from, const Bitset& letter,
+                   Bitset& to) {
+  to = Bitset(nfa.num_states());
+  size_t scanned = 0;
+  for (uint32_t s : from.ToVector()) {
+    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
+      ++scanned;
+      if (t.symbol < letter.size() && letter.Test(t.symbol)) to.Set(t.to);
+    }
+  }
+  nfa.EpsilonClosure(to);
+  return scanned;
+}
+
 bool Nfa::Accepts(std::span<const Symbol> word) const {
   if (num_states() == 0 || start_ == kNoState) return false;
   Bitset current(num_states());
@@ -105,10 +119,15 @@ uint32_t Dfa::AddColumn(Symbol symbol) {
 }
 
 void Dfa::SetTransition(StateId from, Symbol symbol, StateId to) {
-  HEDGEQ_CHECK(from < num_states() && to < num_states());
+  HEDGEQ_CHECK(to < num_states());
+  SetCell(from, symbol, to);
+}
+
+void Dfa::SetCell(StateId from, Symbol symbol, StateId value) {
+  HEDGEQ_CHECK(from < num_states());
   uint32_t col = view().Column(symbol);
   if (col == 0) col = AddColumn(symbol);
-  cells_[static_cast<size_t>(from) * stride_ + col] = to;
+  cells_[static_cast<size_t>(from) * stride_ + col] = value;
 }
 
 StateId Dfa::Run(std::span<const Symbol> word) const {

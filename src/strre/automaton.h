@@ -64,6 +64,15 @@ class Nfa {
   StateId start_ = kNoState;
 };
 
+/// One step of `nfa` over a letter that is itself a set of symbols: `to`
+/// becomes the epsilon closure of every state reached from the set `from`
+/// on any symbol in `letter`. This is a transition of the subset DFA over
+/// set letters (automata::LiftToSubsets, the lazy engines) computed on its
+/// own. Returns the number of transitions scanned, which budgeted callers
+/// charge.
+size_t StepOverSet(const Nfa& nfa, const Bitset& from, const Bitset& letter,
+                   Bitset& to);
+
 /// Deterministic finite automaton over a generic alphabet, stored as dense
 /// rows over the symbols this automaton uses. A dense Symbol -> column
 /// array compacts the alphabet: row s holds the successor of state s in
@@ -128,6 +137,10 @@ class Dfa {
     accepting_[s] = accepting ? 1 : 0;
   }
   void SetTransition(StateId from, Symbol symbol, StateId to);
+  /// SetTransition without reading `value` as a state of this table: for
+  /// tables whose cells name the states of another numbering (LazyDfa's
+  /// rows hold its pinned state ids, one row per state that has any).
+  void SetCell(StateId from, Symbol symbol, StateId value);
 
   StateId start() const { return start_; }
   size_t num_states() const { return accepting_.size(); }

@@ -72,7 +72,8 @@ Fragment BuildThompson(const Regex& e, Nfa& nfa) {
   return {in, out};
 }
 
-// Copies `src` into `dst`, returning the state-id offset.
+}  // namespace
+
 StateId CopyInto(const Nfa& src, Nfa& dst) {
   StateId offset = static_cast<StateId>(dst.num_states());
   for (StateId s = 0; s < src.num_states(); ++s) {
@@ -89,7 +90,67 @@ StateId CopyInto(const Nfa& src, Nfa& dst) {
   return offset;
 }
 
-}  // namespace
+Bitset UsableLetters(const Nfa& nfa, const Bitset& allowed,
+                     size_t num_letters) {
+  Bitset usable(num_letters);
+  if (nfa.num_states() == 0 || nfa.start() == kNoState) return usable;
+  auto letter_ok = [&](strre::Symbol p) {
+    return p < allowed.size() && allowed.Test(p);
+  };
+  Bitset fwd(nfa.num_states());
+  std::deque<StateId> queue;
+  fwd.Set(nfa.start());
+  queue.push_back(nfa.start());
+  while (!queue.empty()) {
+    StateId s = queue.front();
+    queue.pop_front();
+    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
+      if (letter_ok(t.symbol) && !fwd.Test(t.to)) {
+        fwd.Set(t.to);
+        queue.push_back(t.to);
+      }
+    }
+    for (StateId t : nfa.EpsilonsFrom(s)) {
+      if (!fwd.Test(t)) {
+        fwd.Set(t);
+        queue.push_back(t);
+      }
+    }
+  }
+  std::vector<std::vector<StateId>> rev(nfa.num_states());
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
+      if (letter_ok(t.symbol)) rev[t.to].push_back(s);
+    }
+    for (StateId t : nfa.EpsilonsFrom(s)) rev[t].push_back(s);
+  }
+  Bitset bwd(nfa.num_states());
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    if (nfa.IsAccepting(s)) {
+      bwd.Set(s);
+      queue.push_back(s);
+    }
+  }
+  while (!queue.empty()) {
+    StateId s = queue.front();
+    queue.pop_front();
+    for (StateId t : rev[s]) {
+      if (!bwd.Test(t)) {
+        bwd.Set(t);
+        queue.push_back(t);
+      }
+    }
+  }
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    if (!fwd.Test(s)) continue;
+    for (const Nfa::Transition& t : nfa.TransitionsFrom(s)) {
+      if (letter_ok(t.symbol) && bwd.Test(t.to) && t.symbol < num_letters) {
+        usable.Set(t.symbol);
+      }
+    }
+  }
+  return usable;
+}
 
 Nfa CompileRegex(const Regex& e) {
   Nfa nfa;
@@ -400,38 +461,10 @@ Dfa Product(const Dfa& a, const Dfa& b, BoolOp op) {
 }
 
 Nfa IntersectNfa(const Nfa& a, const Nfa& b) {
-  Nfa out;
-  const size_t nb = b.num_states();
-  for (size_t i = 0; i < a.num_states() * nb; ++i) out.AddState(false);
-  if (a.num_states() == 0 || b.num_states() == 0 ||
-      a.start() == kNoState || b.start() == kNoState) {
-    return out;
-  }
-  auto pid = [nb](StateId sa, StateId sb) {
-    return static_cast<StateId>(sa * nb + sb);
-  };
-  out.SetStart(pid(a.start(), b.start()));
-  for (StateId sa = 0; sa < a.num_states(); ++sa) {
-    for (StateId sb = 0; sb < b.num_states(); ++sb) {
-      if (a.IsAccepting(sa) && b.IsAccepting(sb)) {
-        out.SetAccepting(pid(sa, sb), true);
-      }
-      for (StateId ta : a.EpsilonsFrom(sa)) {
-        out.AddEpsilon(pid(sa, sb), pid(ta, sb));
-      }
-      for (StateId tb : b.EpsilonsFrom(sb)) {
-        out.AddEpsilon(pid(sa, sb), pid(sa, tb));
-      }
-      for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
-        for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
-          if (ta.symbol == tb.symbol) {
-            out.AddTransition(pid(sa, sb), ta.symbol, pid(ta.to, tb.to));
-          }
-        }
-      }
-    }
-  }
-  return out;
+  return ProductNfa(a, b, [](Symbol x, Symbol y) -> std::optional<Symbol> {
+    if (x == y) return x;
+    return std::nullopt;
+  });
 }
 
 Nfa UnionNfa(const Nfa& a, const Nfa& b) {

@@ -13,6 +13,16 @@
 
 namespace hedgeq::strre {
 
+/// Appends `src`'s states (acceptance included), moves and epsilon moves
+/// to `dst`; returns the id of src's state 0 in dst. Starts are left to
+/// the caller.
+StateId CopyInto(const Nfa& src, Nfa& dst);
+
+/// The letters on some accepting path of `nfa` whose letters all lie in
+/// `allowed`, as a set of `num_letters` bits.
+Bitset UsableLetters(const Nfa& nfa, const Bitset& allowed,
+                     size_t num_letters);
+
 /// Thompson construction: NFA accepting L(e).
 Nfa CompileRegex(const Regex& e);
 
@@ -45,6 +55,46 @@ Dfa Minimize(const Dfa& dfa, std::span<const Symbol> alphabet);
 /// Language-level boolean combination of two DFAs by product construction.
 enum class BoolOp { kAnd, kOr, kDiff };
 Dfa Product(const Dfa& a, const Dfa& b, BoolOp op);
+
+/// The synchronous product of `a` and `b`, with state sa * |b| + sb: each
+/// side's epsilon moves alone, and a move of `a` on x paired with a move
+/// of `b` on y makes one move on letter(x, y) (none when it is nullopt).
+/// It accepts where both do.
+template <typename LetterFn>
+Nfa ProductNfa(const Nfa& a, const Nfa& b, LetterFn letter) {
+  Nfa out;
+  const size_t nb = b.num_states();
+  for (size_t i = 0; i < a.num_states() * nb; ++i) out.AddState(false);
+  if (a.num_states() == 0 || b.num_states() == 0 ||
+      a.start() == kNoState || b.start() == kNoState) {
+    return out;
+  }
+  auto pid = [nb](StateId sa, StateId sb) {
+    return static_cast<StateId>(sa * nb + sb);
+  };
+  out.SetStart(pid(a.start(), b.start()));
+  for (StateId sa = 0; sa < a.num_states(); ++sa) {
+    for (StateId sb = 0; sb < b.num_states(); ++sb) {
+      if (a.IsAccepting(sa) && b.IsAccepting(sb)) {
+        out.SetAccepting(pid(sa, sb), true);
+      }
+      for (StateId ta : a.EpsilonsFrom(sa)) {
+        out.AddEpsilon(pid(sa, sb), pid(ta, sb));
+      }
+      for (StateId tb : b.EpsilonsFrom(sb)) {
+        out.AddEpsilon(pid(sa, sb), pid(sa, tb));
+      }
+      for (const Nfa::Transition& ta : a.TransitionsFrom(sa)) {
+        for (const Nfa::Transition& tb : b.TransitionsFrom(sb)) {
+          if (std::optional<Symbol> x = letter(ta.symbol, tb.symbol)) {
+            out.AddTransition(pid(sa, sb), *x, pid(ta.to, tb.to));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
 
 /// Synchronous product of two NFAs (epsilon moves interleaved): accepts
 /// L(a) ∩ L(b). State count is |a|·|b|.

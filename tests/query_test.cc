@@ -3,6 +3,7 @@
 #include <string>
 
 #include "query/evaluator.h"
+#include "query/lazy_phr.h"
 #include "query/phr_compile.h"
 #include "query/selection.h"
 #include "util/failpoint.h"
@@ -229,8 +230,8 @@ class LocateEquivalenceTest : public QueryTest {
  protected:
   void TearDown() override { failpoint::DisarmAll(); }
 
-  // Eager Locate of select(*; phr) on `doc` equals the naive evaluator's.
-  // Returns the eager answer.
+  // Eager Locate of select(*; phr) on `doc` equals the naive evaluator's,
+  // and so does the lazy engine's. Returns the eager answer.
   std::vector<bool> ExpectAgrees(const std::string& phr_text,
                                  const Hedge& doc) {
     auto q = ParseSelectionQuery("select(*; " + phr_text + ")", vocab_);
@@ -243,6 +244,12 @@ class LocateEquivalenceTest : public QueryTest {
     std::vector<bool> got = evaluator->Locate(doc);
     EXPECT_EQ(got, NaiveSelectionEvaluator(*q).Locate(doc))
         << phr_text << " on " << doc.ToString(vocab_);
+    auto lazy = LazyPhrEvaluator::Create(q->envelope);
+    EXPECT_TRUE(lazy.ok()) << lazy.status().ToString();
+    if (lazy.ok()) {
+      EXPECT_EQ(lazy->Locate(doc), got)
+          << "lazy: " << phr_text << " on " << doc.ToString(vocab_);
+    }
     return got;
   }
 
@@ -332,6 +339,41 @@ TEST_F(LocateEquivalenceTest, DeadBranchesLocateNothingBelowThem) {
         EXPECT_NE(vocab_.symbols.NameOf(doc.label(p).id), "para");
       }
     }
+  }
+}
+
+TEST_F(LocateEquivalenceTest, LazyRowsFlushMidLocateAndStayExact) {
+  // A cap far below what one Locate fills: the lazy engine's rows flush
+  // many times inside each call, and the pinned ids keep the answers exact.
+  ExecBudget tiny;
+  tiny.max_memory_bytes = 512;
+  Rng rng(7);
+  workload::RandomHedgeOptions options;
+  options.num_symbols = 3;
+  options.target_nodes = 300;
+  for (const char* text :
+       {"[a0<%z>*^z|$x (a0<%z>*^z|a1<%z>*^z|$x)*; a1; *] (a0|a1|a2)*",
+        "[*; a2; (a0<%z>*^z|a1<%z>*^z|a2<%z>*^z|$x)* $x] (a0|a1)*",
+        "[(a1<%z>*^z)*; a0; (a2<%z>*^z|$x)*] (a0|a1|a2)* a0"}) {
+    SCOPED_TRACE(text);
+    auto phr = ParsePhr(text, vocab_);
+    ASSERT_TRUE(phr.ok()) << phr.status().ToString();
+    auto eager = PhrEvaluator::Create(*phr);
+    ASSERT_TRUE(eager.ok());
+    ASSERT_FALSE(eager->fallback_used());
+    auto lazy = LazyPhrEvaluator::Create(*phr, tiny);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    size_t hits = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+      Hedge doc = workload::RandomHedge(rng, vocab_, options);
+      const automata::EvalStats before = lazy->stats();
+      const std::vector<bool> want = eager->Locate(doc);
+      EXPECT_EQ(lazy->Locate(doc), want) << doc.ToString(vocab_);
+      EXPECT_GT(lazy->stats().cache_evictions, before.cache_evictions);
+      hits += Count(want);
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LE(lazy->stats().peak_cache_bytes, tiny.max_memory_bytes + 1024);
   }
 }
 
