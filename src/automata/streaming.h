@@ -16,6 +16,8 @@ namespace hedgeq::automata {
 /// is ever materialized. Feed events in document order, then query
 /// Accepted(). This is the streaming face of Definition 4's bottom-up
 /// computation, driving the same stepper as the tree fold (automata/fold.h).
+/// A stepper whose memo grows (LazyDha::Stepper) is handed every id the run
+/// holds after each event, so it can restart its memo from those alone.
 template <typename Automaton>
 class StreamingRun {
  public:
@@ -56,6 +58,9 @@ class StreamingRun {
       final_ = step_.FinalNext(final_, q);
     } else {
       stack_.back() = step_.HNext(stack_.back(), q);
+    }
+    if constexpr (requires { step_.Compact(stack_, final_); }) {
+      step_.Compact(stack_, final_);
     }
   }
 

@@ -62,8 +62,9 @@ std::vector<NodeId> Hedge::PreOrder() const {
     NodeId n = stack.back();
     stack.pop_back();
     out.push_back(n);
-    std::vector<NodeId> kids = ChildrenOf(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+    for (NodeId c = last_children_[n]; c != kNullNode; c = prev_siblings_[c]) {
+      stack.push_back(c);
+    }
   }
   return out;
 }

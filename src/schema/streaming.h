@@ -17,8 +17,9 @@ namespace hedgeq::schema {
 ///
 /// Robustness: when eager determinization exceeds `budget`, Create degrades
 /// to an on-the-fly subset-simulation engine (automata::LazyDha) whose
-/// memoization cache is LRU-bounded, so the validator always comes up —
-/// validation is then set-simulation per event instead of a table lookup.
+/// memo is capped and restarts between events from the O(element depth)
+/// sets the run holds, so the validator always comes up — validation then
+/// computes a subset step per new event instead of reading a full table.
 /// fallback_used() tells which engine answered; ValidateWithStats also
 /// reports the lazy engine's expenditure.
 class StreamingValidator {

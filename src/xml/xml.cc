@@ -429,19 +429,46 @@ class TreeBuilder : public XmlHandler, public AttributeSink {
   std::vector<NodeId> stack_;
 };
 
+// EscapeText, appending to `out`.
+void AppendEscaped(std::string_view text, std::string& out) {
+  for (char c : text) {
+    switch (c) {
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '&':
+        out += "&amp;";
+        break;
+      case '"':
+        out += "&quot;";
+        break;
+      default:
+        out += c;
+    }
+  }
+}
+
 void SerializeNode(const XmlDocument& doc, const hedge::Vocabulary& vocab,
                    NodeId n, std::string& out) {
   const Label label = doc.hedge.label(n);
   if (label.kind == hedge::LabelKind::kVariable) {
-    out += EscapeText(n < doc.texts.size() ? doc.texts[n] : "");
+    if (n < doc.texts.size()) AppendEscaped(doc.texts[n], out);
     return;
   }
   HEDGEQ_CHECK(label.kind == hedge::LabelKind::kSymbol);
   const std::string& name = vocab.symbols.NameOf(label.id);
-  out += "<" + name;
+  out += '<';
+  out += name;
   if (n < doc.attributes.size()) {
     for (const auto& [attr, value] : doc.attributes[n]) {
-      out += " " + attr + "=\"" + EscapeText(value) + "\"";
+      out += ' ';
+      out += attr;
+      out += "=\"";
+      AppendEscaped(value, out);
+      out += '"';
     }
   }
   NodeId child = doc.hedge.first_child(n);
@@ -453,7 +480,9 @@ void SerializeNode(const XmlDocument& doc, const hedge::Vocabulary& vocab,
   for (; child != kNullNode; child = doc.hedge.next_sibling(child)) {
     SerializeNode(doc, vocab, child, out);
   }
-  out += "</" + name + ">";
+  out += "</";
+  out += name;
+  out += '>';
 }
 
 }  // namespace
@@ -510,24 +539,7 @@ std::string SerializeXml(const XmlDocument& doc,
 std::string EscapeText(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '&':
-        out += "&amp;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out += c;
-    }
-  }
+  AppendEscaped(text, out);
   return out;
 }
 

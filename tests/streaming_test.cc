@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "automata/determinize.h"
 #include "automata/streaming.h"
 #include "hre/compile.h"
@@ -130,6 +132,58 @@ TEST(StreamingValidatorTest, HandlesLargeDocumentsShallowStack) {
   auto verdict = validator->Validate(text, vocab);
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(*verdict);
+}
+
+TEST(StreamingValidatorTest, LazyMemoryStaysBoundedOverALongDocument) {
+  // r's content asks for an `a` eight children from the end, so the
+  // horizontal run over any long sibling list visits up to 2^8 sets: far
+  // more than the cap. The lazy engine must restart its memo between
+  // events instead of keeping every set the stream ever met.
+  std::string grammar = "start = R\nR = r<(A|B)* A";
+  for (int i = 1; i < 8; ++i) grammar += " (A|B)";
+  grammar += ">\nA = a<(A|B)*>\nB = b<(A|B)*>\n";
+  Vocabulary vocab;
+  auto schema = schema::ParseSchema(grammar, vocab);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+
+  Rng rng(31337);
+  std::string doc = "<r>";
+  size_t elements = 0;
+  auto subtree = [&](auto& self, int depth) -> void {
+    const bool a = rng.Below(2) == 0;
+    doc += a ? "<a>" : "<b>";
+    ++elements;
+    const size_t kids = depth < 4 ? rng.Below(12) : 0;
+    for (size_t i = 0; i < kids; ++i) self(self, depth + 1);
+    doc += a ? "</a>" : "</b>";
+  };
+  while (elements < 20000) subtree(subtree, 0);
+  doc += "</r>";
+
+  auto eager = schema::StreamingValidator::Create(*schema);
+  ASSERT_TRUE(eager.ok());
+  ASSERT_FALSE(eager->fallback_used());
+  auto want = eager->Validate(doc, vocab);
+  ASSERT_TRUE(want.ok());
+
+  ExecBudget roomy;
+  roomy.max_states = 64;  // too few for the eager engine
+  ExecBudget tight = roomy;
+  tight.max_memory_bytes = 8 << 10;
+  auto unbounded = schema::StreamingValidator::Create(*schema, roomy);
+  auto bounded = schema::StreamingValidator::Create(*schema, tight);
+  ASSERT_TRUE(unbounded.ok() && bounded.ok());
+  ASSERT_TRUE(unbounded->fallback_used() && bounded->fallback_used());
+  auto big = unbounded->ValidateWithStats(doc, vocab);
+  auto small = bounded->ValidateWithStats(doc, vocab);
+  ASSERT_TRUE(big.ok() && small.ok());
+  EXPECT_EQ(big->valid, *want);
+  EXPECT_EQ(small->valid, *want);
+  // The stream touches several times the cap's worth of sets and rows...
+  EXPECT_GT(big->stats.peak_cache_bytes, 4 * tight.max_memory_bytes);
+  // ...and the capped engine held at most one event's growth past it.
+  EXPECT_GT(small->stats.cache_evictions, 0u);
+  EXPECT_LE(small->stats.peak_cache_bytes, tight.max_memory_bytes + 1024);
 }
 
 TEST(StreamingHandlerTest, HandlerErrorsAbortTheParse) {
