@@ -46,6 +46,39 @@ BENCHMARK(BM_StreamingValidate)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);
 
+// The scanner alone: the same documents through ParseXmlStream with a
+// handler that does nothing, so StreamingValidate minus this is the fold.
+class NoopHandler : public xml::XmlHandler {
+ public:
+  Status StartElement(hedge::SymbolId) override { return Status::Ok(); }
+  Status EndElement(hedge::SymbolId) override { return Status::Ok(); }
+  Status Text(hedge::VarId, std::string_view) override { return Status::Ok(); }
+};
+
+void BM_SaxParse(benchmark::State& state) {
+  hedge::Vocabulary vocab;
+  std::string text = MakeXml(static_cast<size_t>(state.range(0)), vocab);
+  NoopHandler handler;
+  bool ok = false;
+  for (auto _ : state) {
+    Status status = xml::ParseXmlStream(text, vocab, handler);
+    ok = status.ok();
+    benchmark::DoNotOptimize(status);
+  }
+  if (!ok) {
+    state.SkipWithError("document unexpectedly malformed");
+    return;
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_SaxParse)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_DomValidate(benchmark::State& state) {
   hedge::Vocabulary vocab;
   auto schema = schema::ParseSchema(bench::ArticleGrammar(), vocab);

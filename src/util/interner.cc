@@ -5,7 +5,7 @@
 namespace hedgeq {
 
 InternId Interner::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   InternId id = static_cast<InternId>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +14,7 @@ InternId Interner::Intern(std::string_view name) {
 }
 
 std::optional<InternId> Interner::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) return std::nullopt;
   return it->second;
 }

@@ -2,6 +2,7 @@
 #define HEDGEQ_UTIL_INTERNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,8 +36,17 @@ class Interner {
   size_t size() const { return names_.size(); }
 
  private:
+  // Hashes std::string and std::string_view alike, so lookups of a view
+  // (an element name read from the input, say) build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, InternId> ids_;
+  std::unordered_map<std::string, InternId, NameHash, std::equal_to<>> ids_;
 };
 
 }  // namespace hedgeq

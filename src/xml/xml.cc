@@ -1,7 +1,8 @@
 #include "xml/xml.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "obs/catalogue.h"
@@ -18,13 +19,24 @@ using hedge::NodeId;
 
 namespace {
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
+// Byte classes for the scanner, the ASCII classes std::isalpha, isalnum and
+// isspace give in the C locale; no byte >= 0x80 is in any class.
+enum : uint8_t { kNameStart = 1, kNameChar = 2, kSpace = 4 };
 
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' ||
-         c == '-' || c == '.';
+constexpr std::array<uint8_t, 256> kCharClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha || c == '_' || c == ':') t[c] |= kNameStart | kNameChar;
+    if (digit || c == '-' || c == '.') t[c] |= kNameChar;
+    if (c == ' ' || (c >= '\t' && c <= '\r')) t[c] |= kSpace;
+  }
+  return t;
+}();
+
+bool Is(char c, uint8_t cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 bool IsWhitespaceOnly(std::string_view s) {
@@ -43,7 +55,9 @@ class AttributeSink {
 };
 
 // The single streaming parser; ParseXml runs it with a tree-building
-// handler, ParseXmlStream with the caller's.
+// handler, ParseXmlStream with the caller's. Names and raw text runs are
+// read as views into the input: no element or text run costs a copy or an
+// allocation unless an entity, CDATA section, comment or PI splits a run.
 class XmlStreamParser {
  public:
   XmlStreamParser(std::string_view input, hedge::Vocabulary& vocab,
@@ -82,32 +96,38 @@ class XmlStreamParser {
   }
 
  private:
+  bool At(std::string_view prefix) const {
+    return input_.size() - pos_ >= prefix.size() &&
+           input_.compare(pos_, prefix.size(), prefix) == 0;
+  }
+
   void SkipWhitespace() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < input_.size() && Is(input_[pos_], kSpace)) ++pos_;
+  }
+
+  // Moves pos_ past the first `terminator` at or after pos_, or returns
+  // InvalidArgument(`error`) when there is none.
+  Status SkipPast(std::string_view terminator, const char* error) {
+    size_t end = input_.find(terminator, pos_);
+    if (end == std::string_view::npos) return Status::InvalidArgument(error);
+    pos_ = end + terminator.size();
+    return Status::Ok();
   }
 
   Status SkipMisc(bool allow_doctype) {
     while (true) {
       SkipWhitespace();
-      if (StartsWith(Rest(), "<?")) {
-        size_t end = input_.find("?>", pos_);
-        if (end == std::string_view::npos) {
-          return Status::InvalidArgument(
-              "unterminated processing instruction");
-        }
-        pos_ = end + 2;
-      } else if (StartsWith(Rest(), "<!--")) {
-        size_t end = input_.find("-->", pos_);
-        if (end == std::string_view::npos) {
-          return Status::InvalidArgument("unterminated comment");
-        }
-        pos_ = end + 3;
-      } else if (allow_doctype && StartsWith(Rest(), "<!DOCTYPE")) {
+      if (At("<?")) {
+        HEDGEQ_RETURN_IF_ERROR(
+            SkipPast("?>", "unterminated processing instruction"));
+      } else if (At("<!--")) {
+        HEDGEQ_RETURN_IF_ERROR(SkipPast("-->", "unterminated comment"));
+      } else if (allow_doctype && At("<!DOCTYPE")) {
         int depth = 0;
-        while (pos_ < input_.size()) {
+        while (true) {
+          if (pos_ >= input_.size()) {
+            return Status::InvalidArgument("unterminated DOCTYPE");
+          }
           char c = input_[pos_++];
           if (c == '[') ++depth;
           if (c == ']') --depth;
@@ -119,16 +139,14 @@ class XmlStreamParser {
     }
   }
 
-  std::string_view Rest() const { return input_.substr(pos_); }
-
-  Status ParseName(std::string& out) {
-    if (pos_ >= input_.size() || !IsNameStartChar(input_[pos_])) {
+  Status ParseName(std::string_view& out) {
+    if (pos_ >= input_.size() || !Is(input_[pos_], kNameStart)) {
       return Status::InvalidArgument(
           StrCat("expected a name at offset ", pos_));
     }
     size_t start = pos_;
-    while (pos_ < input_.size() && IsNameChar(input_[pos_])) ++pos_;
-    out = std::string(input_.substr(start, pos_ - start));
+    while (pos_ < input_.size() && Is(input_[pos_], kNameChar)) ++pos_;
+    out = input_.substr(start, pos_ - start);
     return Status::Ok();
   }
 
@@ -233,7 +251,31 @@ class XmlStreamParser {
     return Status::Ok();
   }
 
-  Status EmitText(std::string text) {
+  // The text of the innermost open element not yet emitted; a parent's
+  // text is emitted before a child's start tag, so no other element has
+  // any. It is a view into the input while it is one raw slice, and moves
+  // into text_buffer_ once an entity, CDATA section, comment or PI splits it.
+  std::string& TextBuffer() {
+    if (!text_buffered_) {
+      text_buffer_.assign(pending_text_);
+      text_buffered_ = true;
+    }
+    return text_buffer_;
+  }
+
+  void AppendText(std::string_view slice) {
+    if (!text_buffered_ && pending_text_.empty()) {
+      pending_text_ = slice;
+    } else {
+      TextBuffer().append(slice);
+    }
+  }
+
+  Status EmitText() {
+    std::string_view text =
+        text_buffered_ ? std::string_view(text_buffer_) : pending_text_;
+    pending_text_ = {};
+    text_buffered_ = false;
     if (text.empty()) return Status::Ok();
     if (options_.ignore_whitespace_text && IsWhitespaceOnly(text)) {
       return Status::Ok();
@@ -247,109 +289,100 @@ class XmlStreamParser {
   // are (sanitizer builds inflate them severely enough that bounded
   // recursion at the old cap still overflowed an 8 MiB stack).
   struct OpenElement {
-    std::string name;
+    std::string_view name;
     hedge::SymbolId symbol;
-    std::string pending_text;
   };
 
   // Parses one element subtree iteratively: ParseStartTag pushes opened
-  // elements onto `open`, close tags pop them, and the loop ends when the
+  // elements onto open_, close tags pop them, and the loop ends when the
   // element that started it is closed.
   Status ParseElement() {
-    std::vector<OpenElement> open;
-    HEDGEQ_RETURN_IF_ERROR(ParseStartTag(open));
-    while (!open.empty()) {
+    HEDGEQ_RETURN_IF_ERROR(ParseStartTag());
+    while (!open_.empty()) {
       if (pos_ >= input_.size()) {
         return Status::InvalidArgument(
-            StrCat("unterminated element <", open.back().name, ">"));
+            StrCat("unterminated element <", open_.back().name, ">"));
       }
-      std::string& pending_text = open.back().pending_text;
-      if (StartsWith(Rest(), "</")) {
-        HEDGEQ_RETURN_IF_ERROR(EmitText(std::move(pending_text)));
-        pending_text.clear();
+      const char c = input_[pos_];
+      if (c == '&') {
+        HEDGEQ_RETURN_IF_ERROR(DecodeEntity(TextBuffer()));
+        continue;
+      }
+      if (c != '<') {
+        size_t start = pos_;
+        while (pos_ < input_.size() && input_[pos_] != '<' &&
+               input_[pos_] != '&') {
+          ++pos_;
+        }
+        AppendText(input_.substr(start, pos_ - start));
+        continue;
+      }
+      const char next = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+      if (next == '/') {
+        HEDGEQ_RETURN_IF_ERROR(EmitText());
         pos_ += 2;
-        std::string close_name;
+        std::string_view close_name;
         HEDGEQ_RETURN_IF_ERROR(ParseName(close_name));
-        if (close_name != open.back().name) {
+        if (close_name != open_.back().name) {
           return Status::InvalidArgument(StrCat("mismatched close tag </",
                                                 close_name, "> for <",
-                                                open.back().name, ">"));
+                                                open_.back().name, ">"));
         }
         SkipWhitespace();
         if (pos_ >= input_.size() || input_[pos_] != '>') {
           return Status::InvalidArgument("malformed close tag");
         }
         ++pos_;
-        HEDGEQ_RETURN_IF_ERROR(handler_.EndElement(open.back().symbol));
-        open.pop_back();
+        HEDGEQ_RETURN_IF_ERROR(handler_.EndElement(open_.back().symbol));
+        open_.pop_back();
         continue;
       }
-      if (StartsWith(Rest(), "<!--")) {
-        size_t end = input_.find("-->", pos_);
-        if (end == std::string_view::npos) {
-          return Status::InvalidArgument("unterminated comment");
-        }
-        pos_ = end + 3;
+      if (next == '!' && At("<!--")) {
+        HEDGEQ_RETURN_IF_ERROR(SkipPast("-->", "unterminated comment"));
         continue;
       }
-      if (StartsWith(Rest(), "<![CDATA[")) {
-        size_t end = input_.find("]]>", pos_);
-        if (end == std::string_view::npos) {
-          return Status::InvalidArgument("unterminated CDATA section");
-        }
-        pending_text += std::string(input_.substr(pos_ + 9, end - pos_ - 9));
-        pos_ = end + 3;
+      if (next == '!' && At("<![CDATA[")) {
+        size_t start = pos_ + 9;
+        HEDGEQ_RETURN_IF_ERROR(SkipPast("]]>", "unterminated CDATA section"));
+        AppendText(input_.substr(start, pos_ - 3 - start));
         continue;
       }
-      if (StartsWith(Rest(), "<?")) {
-        size_t end = input_.find("?>", pos_);
-        if (end == std::string_view::npos) {
-          return Status::InvalidArgument(
-              "unterminated processing instruction");
-        }
-        pos_ = end + 2;
+      if (next == '?') {
+        HEDGEQ_RETURN_IF_ERROR(
+            SkipPast("?>", "unterminated processing instruction"));
         continue;
       }
-      if (input_[pos_] == '<') {
-        HEDGEQ_RETURN_IF_ERROR(EmitText(std::move(pending_text)));
-        pending_text.clear();
-        HEDGEQ_RETURN_IF_ERROR(ParseStartTag(open));
-        continue;
-      }
-      if (input_[pos_] == '&') {
-        HEDGEQ_RETURN_IF_ERROR(DecodeEntity(pending_text));
-        continue;
-      }
-      pending_text += input_[pos_++];
+      HEDGEQ_RETURN_IF_ERROR(EmitText());
+      HEDGEQ_RETURN_IF_ERROR(ParseStartTag());
     }
     return Status::Ok();
   }
 
   // Parses one start tag (attributes included). A self-closing tag emits
   // its EndElement immediately; otherwise the element is pushed onto
-  // `open` and ParseElement's loop consumes its content.
-  Status ParseStartTag(std::vector<OpenElement>& open) {
-    if (open.size() >= options_.max_depth) {
+  // open_ and ParseElement's loop consumes its content.
+  Status ParseStartTag() {
+    if (open_.size() >= options_.max_depth) {
       return Status::ResourceExhausted(
           StrCat("element nesting deeper than XmlParseOptions::max_depth=",
                  options_.max_depth, " at offset ", pos_));
     }
     HEDGEQ_CHECK(input_[pos_] == '<');
     ++pos_;
-    std::string name;
+    std::string_view name;
     HEDGEQ_RETURN_IF_ERROR(ParseName(name));
     hedge::SymbolId symbol = vocab_.symbols.Intern(name);
     HEDGEQ_RETURN_IF_ERROR(handler_.StartElement(symbol));
 
     // Attributes.
-    std::vector<std::pair<std::string, std::string>> attributes;
+    std::vector<std::pair<std::string_view, std::string>> attributes;
     while (true) {
       SkipWhitespace();
       if (pos_ >= input_.size()) {
         return Status::InvalidArgument("unterminated start tag");
       }
-      if (input_[pos_] == '>' || StartsWith(Rest(), "/>")) break;
-      std::string attr_name;
+      if (input_[pos_] == '>' || At("/>")) break;
+      std::string_view attr_name;
       HEDGEQ_RETURN_IF_ERROR(ParseName(attr_name));
       SkipWhitespace();
       if (pos_ >= input_.size() || input_[pos_] != '=') {
@@ -363,25 +396,25 @@ class XmlStreamParser {
       if (attribute_sink_ != nullptr) {
         HEDGEQ_RETURN_IF_ERROR(attribute_sink_->Attribute(attr_name, value));
       }
-      attributes.emplace_back(std::move(attr_name), std::move(value));
+      attributes.emplace_back(attr_name, std::move(value));
     }
 
     if (options_.attributes_as_elements) {
       for (const auto& [attr_name, value] : attributes) {
         hedge::SymbolId attr_symbol =
-            vocab_.symbols.Intern("@" + attr_name);
+            vocab_.symbols.Intern(StrCat("@", attr_name));
         HEDGEQ_RETURN_IF_ERROR(handler_.StartElement(attr_symbol));
         HEDGEQ_RETURN_IF_ERROR(handler_.Text(text_variable_, value));
         HEDGEQ_RETURN_IF_ERROR(handler_.EndElement(attr_symbol));
       }
     }
 
-    if (StartsWith(Rest(), "/>")) {
+    if (At("/>")) {
       pos_ += 2;
       return handler_.EndElement(symbol);
     }
     ++pos_;  // '>'
-    open.push_back(OpenElement{std::move(name), symbol, std::string()});
+    open_.push_back(OpenElement{name, symbol});
     return Status::Ok();
   }
 
@@ -392,6 +425,10 @@ class XmlStreamParser {
   const XmlParseOptions& options_;
   hedge::VarId text_variable_;
   size_t pos_ = 0;
+  std::vector<OpenElement> open_;
+  std::string_view pending_text_;
+  std::string text_buffer_;
+  bool text_buffered_ = false;
 };
 
 // Builds an XmlDocument from the event stream (what ParseXml returns).

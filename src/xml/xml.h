@@ -37,8 +37,8 @@ struct XmlParseOptions {
   /// When true, whitespace-only text between elements is dropped.
   bool ignore_whitespace_text = true;
   /// Maximum element nesting depth; deeper documents fail with
-  /// kResourceExhausted. The parser recurses once per open element, so this
-  /// also bounds native stack use against nesting bombs.
+  /// kResourceExhausted. The parser keeps its open elements on a heap stack
+  /// and does not recurse, so this bounds that stack, not native stack use.
   size_t max_depth = 4096;
   /// Maximum input size in bytes; larger inputs fail with
   /// kResourceExhausted before any parsing work.
@@ -61,7 +61,9 @@ class XmlHandler {
   virtual Status StartElement(hedge::SymbolId name) = 0;
   virtual Status EndElement(hedge::SymbolId name) = 0;
   /// One text node (whitespace-only runs are dropped unless configured
-  /// otherwise); `variable` is the interned text variable.
+  /// otherwise); `variable` is the interned text variable. `content` is
+  /// valid only during the call and may point into the parser's input:
+  /// a handler that keeps the text must copy it.
   virtual Status Text(hedge::VarId variable, std::string_view content) = 0;
 };
 
